@@ -9,120 +9,12 @@ a truncated formal-power-series engine over exact rationals.
 
 from __future__ import annotations
 
-from .combinatorics import IntegralityError, as_integer, binom, int_pow, multinomial
-from .identities import (
-    CATALOG,
-    Failure,
-    IdentityId,
-    IdentityInfo,
-    PARAM_GRID,
-    VerificationReport,
-    alt_weighted_conv,
-    binom_conv_c,
-    binom_conv_u,
-    binom_conv_v,
-    clear_caches,
-    conv_power,
-    conv_power_by_enumeration,
-    identity_info,
-    pair_plain_sum,
-    pair_telescope_sum,
-    report_from_dict,
-    report_to_dict,
-    resolve_identity_args,
-    rhs_binom_pair_b,
-    rhs_binom_pair_c,
-    rhs_fib_pair_f,
-    rhs_fib_pair_l,
-    rhs_general_alt,
-    rhs_general_plain,
-    rhs_multinom_triple_b,
-    rhs_multinom_triple_c,
-    rhs_multinom_u,
-    rhs_multinom_v,
-    rhs_pair_plain,
-    rhs_printed_balancing_even_b,
-    rhs_printed_corollary,
-    rhs_triple_alt,
-    verify_identity,
-)
-from .sequences import (
-    BALANCING,
-    FIBONACCI,
-    SeqCache,
-    SeqParams,
-    balancing,
-    check_cross_recurrence,
-    fibonacci,
-    lucas,
-    lucas_balancing,
-    u,
-    v,
-)
-from .series import (
-    Series,
-    geom_even_pow,
-    ogf,
-    verify_ogf_square_relation,
-    verify_power_expansion,
-)
+from . import combinatorics, identities, sequences, series
+from .combinatorics import *  # noqa: F403
+from .identities import *  # noqa: F403
+from .sequences import *  # noqa: F403
+from .series import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BALANCING",
-    "CATALOG",
-    "FIBONACCI",
-    "Failure",
-    "IdentityId",
-    "IdentityInfo",
-    "IntegralityError",
-    "PARAM_GRID",
-    "SeqCache",
-    "SeqParams",
-    "Series",
-    "VerificationReport",
-    "alt_weighted_conv",
-    "as_integer",
-    "balancing",
-    "binom",
-    "binom_conv_c",
-    "binom_conv_u",
-    "binom_conv_v",
-    "check_cross_recurrence",
-    "clear_caches",
-    "conv_power",
-    "conv_power_by_enumeration",
-    "fibonacci",
-    "geom_even_pow",
-    "identity_info",
-    "int_pow",
-    "lucas",
-    "lucas_balancing",
-    "multinomial",
-    "ogf",
-    "pair_plain_sum",
-    "pair_telescope_sum",
-    "report_from_dict",
-    "report_to_dict",
-    "resolve_identity_args",
-    "rhs_binom_pair_b",
-    "rhs_binom_pair_c",
-    "rhs_fib_pair_f",
-    "rhs_fib_pair_l",
-    "rhs_general_alt",
-    "rhs_general_plain",
-    "rhs_multinom_triple_b",
-    "rhs_multinom_triple_c",
-    "rhs_multinom_u",
-    "rhs_multinom_v",
-    "rhs_pair_plain",
-    "rhs_printed_balancing_even_b",
-    "rhs_printed_corollary",
-    "rhs_triple_alt",
-    "u",
-    "v",
-    "verify_identity",
-    "verify_ogf_square_relation",
-    "verify_power_expansion",
-]
+__all__ = [*combinatorics.__all__, *identities.__all__, *sequences.__all__, *series.__all__]

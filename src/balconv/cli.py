@@ -2,13 +2,14 @@
 
 Subcommands: ``seq`` (sequence tables), ``conv`` (evaluate one convolution),
 ``closed`` (evaluate one closed form), ``verify`` (sweep an identity and
-report mismatches), ``series-check`` (exact power-series checks), ``bench``
-(closed form vs. series oracle wall time), ``table`` (side-by-side LHS/RHS
-columns).
+report mismatches), ``series-check`` (exact power-series checks), ``table``
+(side-by-side LHS/RHS columns).
 
 Exit codes: 0 success / all checks pass, 1 verification found mismatches
-(report still emitted), 2 usage or domain error.  All integers in machine
-output are decimal strings; they outgrow 64-bit types quickly.
+(report still emitted), 2 usage or domain error, an unwritable ``--output``,
+or an r too large for the recursive oracle tables.  All integers in machine
+output are decimal strings; they outgrow 64-bit types quickly, so CPython's
+int/str digit limit is lifted while :func:`run` executes.
 """
 
 from __future__ import annotations
@@ -16,22 +17,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
-from .combinatorics import IntegralityError
+from .combinatorics import IntegralityError, unlimited_int_digits
 from .identities import (
+    CATALOG,
     IdentityId,
     binom_conv_c,
     binom_conv_u,
     binom_conv_v,
-    clear_caches,
     conv_power,
-    identity_info,
     report_to_dict,
     resolve_identity_args,
-    rhs_general_plain,
     verify_identity,
 )
 from .sequences import BALANCING, FIBONACCI, SeqParams, lucas_balancing, u, v
@@ -56,15 +54,31 @@ def _nonneg(text: str) -> int:
     return value
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
+def _lines(sep: str, rows: Iterable[Iterable[object]]) -> str:
+    return "".join(sep.join(map(str, row)) + "\n" for row in rows)
+
+
+def _write(
+    args: argparse.Namespace,
+    csv_rows: Iterable[Iterable[object]],
+    plain: Callable[[], str],
+    payload: Callable[[], object],
+) -> None:
+    """Render only the format asked for and write it to --output or stdout.
+
+    ``csv_rows`` is the CSV header, if any, then the data rows; ``plain``
+    builds the plain text and ``payload`` the JSON object.
+    """
+    if args.format == "csv":
+        text = _lines(",", csv_rows)
+    elif args.format == "plain":
+        text = plain()
+    else:
+        text = json.dumps(payload(), indent=2) + "\n"
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
-def _json_dumps(obj: object) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+        Path(args.output).write_text(text, encoding="utf-8")
 
 
 def _kind_spec(args: argparse.Namespace) -> tuple[SeqParams, str]:
@@ -109,19 +123,16 @@ def _identity_args(args: argparse.Namespace) -> tuple[IdentityId, SeqParams, int
 def _cmd_seq(args: argparse.Namespace) -> int:
     params, which = _kind_spec(args)
     values = [_term(params, which, n) for n in range(args.to + 1)]
-    if args.format == "csv":
-        text = ",".join(str(x) for x in values) + "\n"
-    elif args.format == "plain":
-        text = "".join(f"{n} {x}\n" for n, x in enumerate(values))
-    else:
-        text = _json_dumps(
-            {
-                "kind": args.kind,
-                "params": _params_dict(params),
-                "values": [str(x) for x in values],
-            }
-        )
-    _emit(text, args.output)
+    _write(
+        args,
+        [values],
+        lambda: _lines(" ", enumerate(values)),
+        lambda: {
+            "kind": args.kind,
+            "params": _params_dict(params),
+            "values": [str(x) for x in values],
+        },
+    )
     return 0
 
 
@@ -141,135 +152,84 @@ def _cmd_conv(args: argparse.Namespace) -> int:
                 "use --binomial for lucas / lucas-balancing / v kinds"
             )
         value = conv_power(params, args.r, args.n)
-    if args.format == "csv":
-        text = f"r,n,value\n{args.r},{args.n},{value}\n"
-    elif args.format == "plain":
-        text = f"{value}\n"
-    else:
-        text = _json_dumps(
-            {
-                "kind": args.kind,
-                "params": _params_dict(params),
-                "r": str(args.r),
-                "n": str(args.n),
-                "binomial": args.binomial,
-                "value": str(value),
-            }
-        )
-    _emit(text, args.output)
+    _write(
+        args,
+        [("r", "n", "value"), (args.r, args.n, value)],
+        lambda: f"{value}\n",
+        lambda: {
+            "kind": args.kind,
+            "params": _params_dict(params),
+            "r": str(args.r),
+            "n": str(args.n),
+            "binomial": args.binomial,
+            "value": str(value),
+        },
+    )
     return 0
 
 
 def _cmd_closed(args: argparse.Namespace) -> int:
     identity, params, r = _identity_args(args)
-    value = identity_info(identity).rhs(params, r, args.n)
-    if args.format == "csv":
-        text = f"identity,r,n,value\n{identity.value},{r},{args.n},{value}\n"
-    elif args.format == "plain":
-        text = f"{value}\n"
-    else:
-        text = _json_dumps(
-            {
-                "identity": identity.value,
-                "params": _params_dict(params),
-                "r": str(r),
-                "n": str(args.n),
-                "value": str(value),
-            }
-        )
-    _emit(text, args.output)
+    value = CATALOG[identity].rhs(params, r, args.n)
+    _write(
+        args,
+        [("identity", "r", "n", "value"), (identity.value, r, args.n, value)],
+        lambda: f"{value}\n",
+        lambda: {
+            "identity": identity.value,
+            "params": _params_dict(params),
+            "r": str(r),
+            "n": str(args.n),
+            "value": str(value),
+        },
+    )
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     identity, params, r = _identity_args(args)
-    lo = args.n_min if args.n_min is not None else identity_info(identity).n_min(r)
+    lo = args.n_min if args.n_min is not None else CATALOG[identity].n_min(r)
     report = verify_identity(identity, (lo, args.n_max), params, r)
-    if args.format == "json":
-        text = _json_dumps(report_to_dict(report))
-    elif args.format == "csv":
-        lines = ["n,lhs,rhs"]
-        lines += [f"{f.n},{f.lhs},{f.rhs}" for f in report.failures]
-        text = "\n".join(lines) + "\n"
-    else:
+    rows = [(f.n, f.lhs, f.rhs) for f in report.failures]
+
+    def plain() -> str:
         status = "pass" if report.passed else "FAIL"
-        lines = [
+        head = (
             f"identity={report.identity.value} params=({report.params.a},{report.params.b}) "
             f"r={report.r} range=[{report.n_range[0]},{report.n_range[1]}] "
-            f"checked={report.checked} failures={len(report.failures)} status={status}"
-        ]
-        lines += [f"  n={f.n} lhs={f.lhs} rhs={f.rhs}" for f in report.failures]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+            f"checked={report.checked} failures={len(rows)} status={status}\n"
+        )
+        return head + "".join(f"  n={n} lhs={lhs} rhs={rhs}\n" for n, lhs, rhs in rows)
+
+    _write(args, [("n", "lhs", "rhs"), *rows], plain, lambda: report_to_dict(report))
     return 0 if report.passed else 1
 
 
 def _cmd_series_check(args: argparse.Namespace) -> int:
     if args.r is None:
-        name = "ogf-square"
+        name, r_text = "ogf-square", ""
         passed = verify_ogf_square_relation(args.order)
-        r_text = ""
     else:
-        name = "power-expansion"
+        name, r_text = "power-expansion", str(args.r)
         passed = verify_power_expansion(args.r, args.order)
-        r_text = str(args.r)
-    if args.format == "csv":
-        text = f"check,r,order,passed\n{name},{r_text},{args.order},{str(passed).lower()}\n"
-    elif args.format == "plain":
-        label = f"{name} r={r_text} " if r_text else f"{name} "
-        text = f"{label}order={args.order}: {'pass' if passed else 'FAIL'}\n"
-    else:
-        text = _json_dumps(
-            {
-                "check": name,
-                "r": r_text or None,
-                "order": str(args.order),
-                "passed": passed,
-            }
-        )
-    _emit(text, args.output)
+    label = f"{name} r={r_text}" if r_text else name
+    _write(
+        args,
+        [("check", "r", "order", "passed"), (name, r_text, args.order, str(passed).lower())],
+        lambda: f"{label} order={args.order}: {'pass' if passed else 'FAIL'}\n",
+        lambda: {
+            "check": name,
+            "r": r_text or None,
+            "order": str(args.order),
+            "passed": passed,
+        },
+    )
     return 0 if passed else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # Informational only: wall time of the O(r n^2) series oracle vs the
-    # O(n) closed form, both cold.  Timing output is inherently run-dependent.
-    clear_caches()
-    t0 = time.perf_counter()
-    oracle_value = conv_power(BALANCING, args.r, args.n)
-    t1 = time.perf_counter()
-    closed_value = rhs_general_plain(args.r, args.n)
-    t2 = time.perf_counter()
-    agree = oracle_value == closed_value
-    if args.format == "csv":
-        text = (
-            "method,r,n,seconds\n"
-            f"conv-power,{args.r},{args.n},{t1 - t0:.6f}\n"
-            f"closed-form,{args.r},{args.n},{t2 - t1:.6f}\n"
-        )
-    elif args.format == "plain":
-        text = (
-            f"conv-power   r={args.r} n={args.n}  {t1 - t0:.6f}s\n"
-            f"closed-form  r={args.r} n={args.n}  {t2 - t1:.6f}s\n"
-            f"agree: {str(agree).lower()}\n"
-        )
-    else:
-        text = _json_dumps(
-            {
-                "r": str(args.r),
-                "n": str(args.n),
-                "conv_power_seconds": f"{t1 - t0:.6f}",
-                "closed_form_seconds": f"{t2 - t1:.6f}",
-                "agree": agree,
-            }
-        )
-    _emit(text, args.output)
-    return 0
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     identity, params, r = _identity_args(args)
-    info = identity_info(identity)
+    info = CATALOG[identity]
     lo = args.n_min if args.n_min is not None else info.n_min(r)
     hi = args.n_max
     if lo > hi:
@@ -277,24 +237,18 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if lo < info.n_min(r):
         raise ValueError(f"{identity.value} requires n >= {info.n_min(r)}")
     rows = [(n, info.lhs(params, r, n), info.rhs(params, r, n)) for n in range(lo, hi + 1)]
-    if args.format == "csv":
-        lines = ["n,lhs,rhs"] + [f"{n},{lhs},{rhs}" for n, lhs, rhs in rows]
-        text = "\n".join(lines) + "\n"
-    elif args.format == "plain":
-        lines = ["n\tlhs\trhs"] + [f"{n}\t{lhs}\t{rhs}" for n, lhs, rhs in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = _json_dumps(
-            {
-                "identity": identity.value,
-                "params": _params_dict(params),
-                "r": str(r),
-                "rows": [
-                    {"n": str(n), "lhs": str(lhs), "rhs": str(rhs)} for n, lhs, rhs in rows
-                ],
-            }
-        )
-    _emit(text, args.output)
+    header = ("n", "lhs", "rhs")
+    _write(
+        args,
+        [header, *rows],
+        lambda: _lines("\t", [header, *rows]),
+        lambda: {
+            "identity": identity.value,
+            "params": _params_dict(params),
+            "r": str(r),
+            "rows": [{"n": str(n), "lhs": str(lhs), "rhs": str(rhs)} for n, lhs, rhs in rows],
+        },
+    )
     return 0
 
 
@@ -318,16 +272,15 @@ def _add_kind(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--b", type=int, default=None, help="recurrence coefficient b (kinds u/v)")
 
 
-def _add_identity(sub: argparse.ArgumentParser, with_params: bool = True) -> None:
+def _add_identity(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--identity",
         required=True,
         choices=[i.value for i in IdentityId],
     )
     sub.add_argument("--r", type=int, default=None, help="fold count for variable-r identities")
-    if with_params:
-        sub.add_argument("--a", type=int, default=None, help="recurrence coefficient a (general-u/v)")
-        sub.add_argument("--b", type=int, default=None, help="recurrence coefficient b (general-u/v)")
+    sub.add_argument("--a", type=int, default=None, help="recurrence coefficient a (general-u/v)")
+    sub.add_argument("--b", type=int, default=None, help="recurrence coefficient b (general-u/v)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -370,12 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_series_check)
 
-    p = sub.add_parser("bench", help="time the series oracle against the closed form")
-    p.add_argument("--r", type=int, default=4)
-    p.add_argument("--n", type=_nonneg, default=400)
-    _add_common(p)
-    p.set_defaults(func=_cmd_bench)
-
     p = sub.add_parser("table", help="LHS/RHS columns for an identity over a range")
     _add_identity(p)
     p.add_argument("--n-min", type=_nonneg, default=None)
@@ -386,6 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@unlimited_int_digits()
 def run(argv: Sequence[str]) -> int:
     """Execute one invocation; returns the process exit code."""
     parser = _build_parser()
@@ -395,8 +343,16 @@ def run(argv: Sequence[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, IntegralityError) as exc:
+    except (ValueError, IntegralityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # Only the oracle tables recurse this deep, and every command that builds one has --r.
+        print(
+            f"error: r = {args.r} is too large: the oracle tables recurse once per fold "
+            f"(recursion limit {sys.getrecursionlimit()})",
+            file=sys.stderr,
+        )
         return 2
 
 

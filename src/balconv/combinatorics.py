@@ -6,10 +6,12 @@ unbounded, so there is no overflow to guard against.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "IntegralityError",
@@ -77,3 +79,21 @@ def int_pow(base: int, e: int) -> int:
     if e < 0:
         raise ValueError(f"int_pow: exponent must be nonnegative, got {e}")
     return base**e
+
+
+@contextmanager
+def unlimited_int_digits() -> Iterator[None]:
+    """Lift CPython's int/str conversion digit limit, restoring the caller's on exit.
+
+    Exact results routinely pass the default limit of 4300 digits.  Usable as
+    a decorator.  Interpreters without the limit (before 3.10.7) are left alone.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)

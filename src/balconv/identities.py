@@ -22,7 +22,8 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Mapping
 
-from .combinatorics import as_integer, binom, int_pow
+from . import combinatorics, sequences
+from .combinatorics import as_integer, binom, int_pow, unlimited_int_digits
 from .sequences import (
     BALANCING,
     FIBONACCI,
@@ -36,6 +37,7 @@ from .sequences import (
 from .series import Series, ogf
 
 __all__ = [
+    "CATALOG",
     "Failure",
     "IdentityId",
     "IdentityInfo",
@@ -48,7 +50,6 @@ __all__ = [
     "binom_conv_v",
     "conv_power",
     "conv_power_by_enumeration",
-    "identity_info",
     "pair_plain_sum",
     "pair_telescope_sum",
     "report_from_dict",
@@ -88,10 +89,10 @@ def _padded_order(n: int) -> int:
 
 
 def clear_caches() -> None:
-    """Drop memoized series powers and convolution folds (mainly for timing)."""
-    _ogf_power.cache_clear()
-    _binom_fold.cache_clear()
-    _seq_prefix.cache_clear()
+    """Drop every memoized value: series powers, folds, binomials and sequence tables."""
+    for cached in (_ogf_power, _binom_fold, _seq_prefix, combinatorics.binom):
+        cached.cache_clear()
+    sequences._caches.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -208,35 +209,31 @@ def _binom_fold(params: SeqParams, which: str, r: int, order: int) -> tuple[int,
     )
 
 
+def _binom_conv(params: SeqParams, which: str, r: int, n: int) -> int:
+    if r < 1:
+        raise ValueError(f"binom_conv_{which}: r must be >= 1, got {r}")
+    if n < 0:
+        raise ValueError(f"binom_conv_{which}: n must be nonnegative, got {n}")
+    return _binom_fold(params, which, r, _padded_order(n))[n]
+
+
 def binom_conv_u(params: SeqParams, r: int, n: int) -> int:
     """Multinomial-weighted sum of u_{k_1}...u_{k_r} over parts summing to n.
 
     Parts range over >= 1; since u_0 = 0, the unrestricted binomial fold
     already agrees with that convention.
     """
-    if r < 1:
-        raise ValueError(f"binom_conv_u: r must be >= 1, got {r}")
-    if n < 0:
-        raise ValueError(f"binom_conv_u: n must be nonnegative, got {n}")
-    return _binom_fold(params, "u", r, _padded_order(n))[n]
+    return _binom_conv(params, "u", r, n)
 
 
 def binom_conv_v(params: SeqParams, r: int, n: int) -> int:
     """Multinomial-weighted sum of v_{k_1}...v_{k_r}, parts ranging over >= 0."""
-    if r < 1:
-        raise ValueError(f"binom_conv_v: r must be >= 1, got {r}")
-    if n < 0:
-        raise ValueError(f"binom_conv_v: n must be nonnegative, got {n}")
-    return _binom_fold(params, "v", r, _padded_order(n))[n]
+    return _binom_conv(params, "v", r, n)
 
 
 def binom_conv_c(r: int, n: int) -> int:
     """Multinomial-weighted sum of C_{k_1}...C_{k_r} (Lucas-balancing), parts >= 0."""
-    if r < 1:
-        raise ValueError(f"binom_conv_c: r must be >= 1, got {r}")
-    if n < 0:
-        raise ValueError(f"binom_conv_c: n must be nonnegative, got {n}")
-    return _binom_fold(BALANCING, "c", r, _padded_order(n))[n]
+    return _binom_conv(BALANCING, "c", r, n)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +587,7 @@ CATALOG: Mapping[IdentityId, IdentityInfo] = {
         r=None,
         min_r=2,
         n_min=lambda r: r,
-        lhs=lambda p, r, n: conv_power(BALANCING, r, n),
+        lhs=conv_power,
         rhs=lambda p, r, n: rhs_general_plain(r, n),
     ),
     IdentityId.BINOM_PAIR_B: IdentityInfo(
@@ -598,7 +595,7 @@ CATALOG: Mapping[IdentityId, IdentityInfo] = {
         r=2,
         min_r=2,
         n_min=lambda r: 0,
-        lhs=lambda p, r, n: binom_conv_u(BALANCING, 2, n),
+        lhs=binom_conv_u,
         rhs=lambda p, r, n: rhs_binom_pair_b(n),
     ),
     IdentityId.BINOM_PAIR_C: IdentityInfo(
@@ -614,7 +611,7 @@ CATALOG: Mapping[IdentityId, IdentityInfo] = {
         r=3,
         min_r=3,
         n_min=lambda r: 0,
-        lhs=lambda p, r, n: binom_conv_u(BALANCING, 3, n),
+        lhs=binom_conv_u,
         rhs=lambda p, r, n: rhs_multinom_triple_b(n),
     ),
     IdentityId.MULTINOM_TRIPLE_C: IdentityInfo(
@@ -646,7 +643,7 @@ CATALOG: Mapping[IdentityId, IdentityInfo] = {
         r=2,
         min_r=2,
         n_min=lambda r: 0,
-        lhs=lambda p, r, n: binom_conv_u(FIBONACCI, 2, n),
+        lhs=binom_conv_u,
         rhs=lambda p, r, n: rhs_fib_pair_f(n),
     ),
     IdentityId.FIB_PAIR_L: IdentityInfo(
@@ -654,14 +651,10 @@ CATALOG: Mapping[IdentityId, IdentityInfo] = {
         r=2,
         min_r=2,
         n_min=lambda r: 0,
-        lhs=lambda p, r, n: binom_conv_v(FIBONACCI, 2, n),
+        lhs=binom_conv_v,
         rhs=lambda p, r, n: rhs_fib_pair_l(n),
     ),
 }
-
-
-def identity_info(identity: IdentityId) -> IdentityInfo:
-    return CATALOG[identity]
 
 
 def resolve_identity_args(
@@ -756,6 +749,7 @@ def verify_identity(
     )
 
 
+@unlimited_int_digits()
 def report_to_dict(report: VerificationReport) -> dict:
     """Serialize with every integer as a decimal string (values outgrow 64 bits)."""
     return {
@@ -770,6 +764,7 @@ def report_to_dict(report: VerificationReport) -> dict:
     }
 
 
+@unlimited_int_digits()
 def report_from_dict(data: dict) -> VerificationReport:
     """Inverse of :func:`report_to_dict`."""
     return VerificationReport(

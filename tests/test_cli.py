@@ -1,9 +1,18 @@
 import contextlib
 import io
 import json
+import sys
+from pathlib import Path
+
+import pytest
 
 from balconv.cli import run
+from balconv.combinatorics import unlimited_int_digits
 from balconv.identities import IdentityId, report_from_dict, verify_identity
+from balconv.sequences import balancing
+
+#: stdout and exit code of every subcommand in every format, pinned byte for byte.
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"))
 
 
 def invoke(argv):
@@ -42,6 +51,12 @@ def test_documented_verify_printed_r5_fails():
     assert code == 1
     assert "status=FAIL" in out
     assert "n=12" in out  # first divergent index
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_output(case):
+    code, out, err = invoke(case["argv"])
+    assert (code, out, err) == (case["exit"], case["stdout"], "")
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +148,35 @@ def test_series_check_command():
     assert data == {"check": "power-expansion", "r": "3", "order": "40", "passed": True}
 
 
-def test_bench_command_runs():
-    code, out, _ = invoke(["bench", "--r", "3", "--n", "80", "--format", "json"])
-    assert code == 0
-    data = json.loads(out)
-    assert data["agree"] is True
-    assert float(data["conv_power_seconds"]) >= 0.0
-
-
 def test_verify_csv_lists_failures():
     code, out, _ = invoke(["verify", "--identity", "cor-printed-r5", "--n-max", "14", "--format", "csv"])
     assert code == 1
     lines = out.splitlines()
     assert lines[0] == "n,lhs,rhs"
     assert [line.split(",")[0] for line in lines[1:]] == ["12", "13", "14"]
+
+
+def test_values_past_the_int_digit_limit():
+    # B_6000 has about 4600 digits and 5700 B_5700 about 4370, past CPython's default 4300.
+    with unlimited_int_digits():
+        terms = [0, 1]
+        while len(terms) <= 6000:
+            terms.append(6 * terms[-1] - terms[-2])
+        want_seq = ",".join(map(str, terms)) + "\n"
+        want_closed = f"{5700 * balancing(5700)}\n"
+    assert invoke(["seq", "--to", "6000", "--format", "csv"]) == (0, want_seq, "")
+    assert invoke(["closed", "--identity", "pair-telescope", "--n", "5700"]) == (0, want_closed, "")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_run_restores_the_callers_digit_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        invoke(["seq", "--to", "3"])
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_output_file(tmp_path):
@@ -201,6 +231,26 @@ def test_params_on_named_kind_exits_2():
 def test_fixed_params_identity_rejects_override():
     code, _, _ = invoke(["verify", "--identity", "fib-pair-f", "--a", "6", "--b", "-1", "--n-max", "5"])
     assert code == 2
+
+
+def test_unwritable_output_exits_2(tmp_path):
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = invoke(["seq", "--to", "5", "--output", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conv", "--r", "1200", "--n", "1300"],
+        ["conv", "--kind", "lucas", "--binomial", "--r", "1200", "--n", "3"],
+    ],
+)
+def test_recursion_depth_of_large_r_exits_2(argv):
+    code, out, err = invoke(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: r = 1200 ") and "Traceback" not in err
 
 
 def test_help_exits_0():

@@ -2,18 +2,21 @@ from fractions import Fraction
 
 import pytest
 
+from balconv import sequences
 from balconv.combinatorics import IntegralityError, binom
 from balconv.identities import (
+    CATALOG,
     PARAM_GRID,
     Failure,
     IdentityId,
+    VerificationReport,
     alt_weighted_conv,
     binom_conv_c,
     binom_conv_u,
     binom_conv_v,
+    clear_caches,
     conv_power,
     conv_power_by_enumeration,
-    identity_info,
     pair_plain_sum,
     pair_telescope_sum,
     report_from_dict,
@@ -380,7 +383,7 @@ def test_verify_usage_errors():
 def test_resolve_identity_args_defaults():
     assert resolve_identity_args(IdentityId.GENERAL_U, None, 3) == (BALANCING, 3)
     assert resolve_identity_args(IdentityId.FIB_PAIR_F) == (FIBONACCI, 2)
-    info = identity_info(IdentityId.GENERAL_ALT)
+    info = CATALOG[IdentityId.GENERAL_ALT]
     assert info.n_min(4) == 7 and info.n_min(2) == 1
 
 
@@ -389,10 +392,25 @@ def test_report_round_trip():
         verify_identity(IdentityId.GENERAL_ALT, (7, 40), r=4),
         verify_identity(IdentityId.COR_PRINTED_R5, (10, 25)),
         verify_identity(IdentityId.GENERAL_V, (0, 12), params=SeqParams(1, 2), r=3),
+        # a witness past CPython's default 4300-digit int/str limit (B_6000 has ~4600)
+        VerificationReport(
+            IdentityId.PAIR_PLAIN, BALANCING, 2, (6000, 6000), 1,
+            (Failure(6000, balancing(6000), balancing(6000) + 1),),
+        ),
     ):
         data = report_to_dict(report)
         assert all(isinstance(x, str) for x in (data["r"], data["checked"], *data["range"]))
         assert report_from_dict(data) == report
+
+
+def test_clear_caches_drops_every_memo():
+    conv_power(BALANCING, 3, 10)
+    binom_conv_v(FIBONACCI, 2, 5)
+    binom(9, 4)
+    clear_caches()
+    assert binom.cache_info().currsize == 0
+    assert not sequences._caches
+    assert conv_power(BALANCING, 3, 10) == rhs_general_plain(3, 10)
 
 
 def test_failure_is_value_object():
