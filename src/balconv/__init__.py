@@ -5,16 +5,47 @@ second-order (u, v) pairs; evaluates plain, alternating, and
 binomial-weighted convolutions both by brute force and in closed form; and
 verifies every catalogued identity bit-exactly over finite ranges, backed by
 a truncated formal-power-series engine over exact rationals.
+
+The names below are the documented surface; everything else is importable
+from its submodule.
 """
 
 from __future__ import annotations
 
-from . import combinatorics, identities, sequences, series
-from .combinatorics import *  # noqa: F403
-from .identities import *  # noqa: F403
-from .sequences import *  # noqa: F403
-from .series import *  # noqa: F403
+from .identities import (
+    CATALOG,
+    Failure,
+    IdentityId,
+    VerificationReport,
+    binom_conv_u,
+    conv_power,
+    report_from_dict,
+    report_to_dict,
+    rhs_general_plain,
+    rhs_multinom_u,
+    verify_identity,
+)
+from .sequences import BALANCING, FIBONACCI, SeqParams, balancing, lucas_balancing
+from .series import verify_ogf_square_relation
 
 __version__ = "0.1.0"
 
-__all__ = [*combinatorics.__all__, *identities.__all__, *sequences.__all__, *series.__all__]
+__all__ = [
+    "BALANCING",
+    "CATALOG",
+    "FIBONACCI",
+    "Failure",
+    "IdentityId",
+    "SeqParams",
+    "VerificationReport",
+    "balancing",
+    "binom_conv_u",
+    "conv_power",
+    "lucas_balancing",
+    "report_from_dict",
+    "report_to_dict",
+    "rhs_general_plain",
+    "rhs_multinom_u",
+    "verify_identity",
+    "verify_ogf_square_relation",
+]

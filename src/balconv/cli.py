@@ -27,7 +27,9 @@ from .identities import (
     binom_conv_c,
     binom_conv_u,
     binom_conv_v,
+    clamp_to_domain,
     conv_power,
+    evaluate_range,
     report_to_dict,
     resolve_identity_args,
     verify_identity,
@@ -170,6 +172,7 @@ def _cmd_conv(args: argparse.Namespace) -> int:
 
 def _cmd_closed(args: argparse.Namespace) -> int:
     identity, params, r = _identity_args(args)
+    clamp_to_domain(identity, r, args.n, args.n)
     value = CATALOG[identity].rhs(params, r, args.n)
     _write(
         args,
@@ -188,8 +191,7 @@ def _cmd_closed(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     identity, params, r = _identity_args(args)
-    lo = args.n_min if args.n_min is not None else CATALOG[identity].n_min(r)
-    report = verify_identity(identity, (lo, args.n_max), params, r)
+    report = verify_identity(identity, (args.n_min, args.n_max), params, r)
     rows = [(f.n, f.lhs, f.rhs) for f in report.failures]
 
     def plain() -> str:
@@ -229,14 +231,8 @@ def _cmd_series_check(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     identity, params, r = _identity_args(args)
-    info = CATALOG[identity]
-    lo = args.n_min if args.n_min is not None else info.n_min(r)
-    hi = args.n_max
-    if lo > hi:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    if lo < info.n_min(r):
-        raise ValueError(f"{identity.value} requires n >= {info.n_min(r)}")
-    rows = [(n, info.lhs(params, r, n), info.rhs(params, r, n)) for n in range(lo, hi + 1)]
+    lo, hi = clamp_to_domain(identity, r, args.n_min, args.n_max)
+    rows = list(evaluate_range(identity, params, r, lo, hi))
     header = ("n", "lhs", "rhs")
     _write(
         args,

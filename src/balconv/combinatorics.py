@@ -1,4 +1,4 @@
-"""Exact combinatorial primitives: binomials, multinomials, integer powers.
+"""Exact combinatorial primitives: binomials and multinomials.
 
 Everything here is plain ``int``/``Fraction`` arithmetic; Python integers are
 unbounded, so there is no overflow to guard against.
@@ -17,7 +17,6 @@ __all__ = [
     "IntegralityError",
     "as_integer",
     "binom",
-    "int_pow",
     "multinomial",
 ]
 
@@ -72,13 +71,6 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
         result *= comb(remaining, p)
         remaining -= p
     return result
-
-
-def int_pow(base: int, e: int) -> int:
-    """base**e with the 0**0 = 1 convention (required by j = 0 sum terms)."""
-    if e < 0:
-        raise ValueError(f"int_pow: exponent must be nonnegative, got {e}")
-    return base**e
 
 
 @contextmanager

@@ -20,10 +20,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Callable, Mapping
+from typing import Callable, Iterator
 
 from . import combinatorics, sequences
-from .combinatorics import as_integer, binom, int_pow, unlimited_int_digits
+from .combinatorics import as_integer, binom, unlimited_int_digits
 from .sequences import (
     BALANCING,
     FIBONACCI,
@@ -45,11 +45,13 @@ __all__ = [
     "VerificationReport",
     "alt_weighted_conv",
     "binom_conv_c",
-    "clear_caches",
     "binom_conv_u",
     "binom_conv_v",
+    "clamp_to_domain",
+    "clear_caches",
     "conv_power",
     "conv_power_by_enumeration",
+    "evaluate_range",
     "pair_plain_sum",
     "pair_telescope_sum",
     "report_from_dict",
@@ -66,6 +68,7 @@ __all__ = [
     "rhs_multinom_u",
     "rhs_multinom_v",
     "rhs_pair_plain",
+    "rhs_pair_telescope",
     "rhs_printed_balancing_even_b",
     "rhs_printed_corollary",
     "rhs_triple_alt",
@@ -273,21 +276,17 @@ def rhs_triple_alt(n: int) -> int:
     return binom(n - 1, 2) * balancing(n - 2) - binom(n - 4, 2) * balancing(n - 4)
 
 
-_PRINTED_COROLLARY_N_MIN = {4: 7, 5: 10, 6: 13}
-
-
 def rhs_printed_corollary(r: int, n: int) -> int:
-    """Hand-expanded corollary forms for r = 4, 5, 6, kept exactly as transcribed.
+    """Hand-expanded corollary forms for r = 4, 5, 6, n >= 3r-5, kept exactly as transcribed.
 
     The r = 5 form repeats B_{n-6} in its third term where the general
     formula indexes B_{n-8}; it is preserved verbatim so the divergence can
     be detected, not silently repaired.
     """
-    if r not in _PRINTED_COROLLARY_N_MIN:
+    if r not in (4, 5, 6):
         raise ValueError(f"rhs_printed_corollary: transcribed forms exist for r in (4, 5, 6), got {r}")
-    n_min = _PRINTED_COROLLARY_N_MIN[r]
-    if n < n_min:
-        raise ValueError(f"rhs_printed_corollary: r = {r} requires n >= {n_min}, got {n}")
+    if n < 3 * r - 5:
+        raise ValueError(f"rhs_printed_corollary: r = {r} requires n >= {3 * r - 5}, got {n}")
     B = balancing
     if r == 4:
         total = Fraction(binom(n - 1, 3) * B(n - 3))
@@ -311,6 +310,13 @@ def rhs_printed_corollary(r: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # Closed forms (plain convolution family)
 # ---------------------------------------------------------------------------
+
+
+def rhs_pair_telescope(n: int) -> int:
+    """n B_n, the closed form of :func:`pair_telescope_sum`, valid for n >= 1."""
+    if n < 1:
+        raise ValueError(f"rhs_pair_telescope: n must be >= 1, got {n}")
+    return n * balancing(n)
 
 
 def rhs_pair_plain(n: int) -> int:
@@ -391,7 +397,7 @@ def rhs_multinom_u(params: SeqParams, r: int, n: int) -> int:
         (-1) ** j * binom(r, j) * _weighted_binomial_sum(params, "v", a * j, r - 2 * j, n)
         for j in range(half)
     )
-    total += (-1) ** half * binom(r, half) * int_pow(a * half, n)
+    total += (-1) ** half * binom(r, half) * (a * half) ** n
     return as_integer(Fraction(total, disc**half))
 
 
@@ -414,7 +420,7 @@ def rhs_multinom_v(params: SeqParams, r: int, n: int) -> int:
         binom(r, j) * _weighted_binomial_sum(params, "v", a * j, r - 2 * j, n)
         for j in range(half)
     )
-    return total + binom(r, half) * int_pow(a * half, n)
+    return total + binom(r, half) * (a * half) ** n
 
 
 def rhs_binom_pair_b(n: int) -> int:
@@ -478,7 +484,7 @@ def rhs_printed_balancing_even_b(r: int, n: int) -> Fraction:
         (-1) ** j * binom(r, j) * _weighted_binomial_sum(BALANCING, "c", 6 * j, r - 2 * j, n)
         for j in range(half)
     )
-    total += (-1) ** half * binom(r, half) * int_pow(half, n)
+    total += (-1) ** half * binom(r, half) * half**n
     return Fraction(total, 32**half)
 
 
@@ -508,151 +514,126 @@ class IdentityId(enum.Enum):
     FIB_PAIR_L = "fib-pair-l"
 
 
+Side = Callable[[SeqParams, int, int], int]
+
+
+def _of_n(fn: Callable[[int], int]) -> Side:
+    """Catalog side f(params, r, n) that calls ``fn(n)``.
+
+    Only the function's name is kept; it is looked up in this module on
+    every call, so a wrapper installed over the module global later is the
+    one that runs.
+    """
+    name = fn.__name__
+
+    def side(params: SeqParams, r: int, n: int) -> int:
+        return globals()[name](n)
+
+    side.__name__ = name
+    return side
+
+
+def _of_r_n(fn: Callable[[int, int], int]) -> Side:
+    """Catalog side f(params, r, n) that calls ``fn(r, n)``, looked up as in :func:`_of_n`."""
+    name = fn.__name__
+
+    def side(params: SeqParams, r: int, n: int) -> int:
+        return globals()[name](r, n)
+
+    side.__name__ = name
+    return side
+
+
+# Domain rules: the smallest n a family's closed form admits, given r.
+
+
+def _alternating_n_min(r: int) -> int:
+    return 3 * r - 5
+
+
+def _plain_n_min(r: int) -> int:
+    return r
+
+
+def _telescope_n_min(r: int) -> int:
+    return 1
+
+
+def _binomial_n_min(r: int) -> int:
+    return 0
+
+
 @dataclass(frozen=True)
 class IdentityInfo:
     """Catalog entry: fixed arguments, validity domain, and both evaluators.
 
-    ``params``/``r`` are None when the caller chooses them; ``n_min`` maps the
-    resolved r to the smallest valid n.  ``lhs`` is the brute-force oracle and
-    ``rhs`` the closed form, both called as f(params, r, n).
+    ``params``/``r`` are None when the caller chooses them; a chosen r must
+    be at least ``min_r``.  ``n_min`` maps the resolved r to the smallest
+    valid n.  ``lhs`` is the brute-force oracle and ``rhs`` the closed form,
+    both called as f(params, r, n).
     """
 
     params: SeqParams | None
     r: int | None
-    min_r: int
     n_min: Callable[[int], int]
-    lhs: Callable[[SeqParams, int, int], int]
-    rhs: Callable[[SeqParams, int, int], int]
+    lhs: Side
+    rhs: Side
+    min_r: int = 1
 
 
-CATALOG: Mapping[IdentityId, IdentityInfo] = {
+_ALTERNATING_LHS = _of_r_n(alt_weighted_conv)
+_PRINTED_RHS = _of_r_n(rhs_printed_corollary)
+_BINOM_C_LHS = _of_r_n(binom_conv_c)
+
+#: Rows are IdentityInfo(params, r, n_min, lhs, rhs[, min_r]).
+CATALOG: dict[IdentityId, IdentityInfo] = {
     IdentityId.PAIR_TELESCOPE: IdentityInfo(
-        params=BALANCING,
-        r=2,
-        min_r=2,
-        n_min=lambda r: 1,
-        lhs=lambda p, r, n: pair_telescope_sum(n),
-        rhs=lambda p, r, n: n * balancing(n),
+        BALANCING, 2, _telescope_n_min, _of_n(pair_telescope_sum), _of_n(rhs_pair_telescope)
     ),
     IdentityId.TRIPLE_ALT: IdentityInfo(
-        params=BALANCING,
-        r=3,
-        min_r=3,
-        n_min=lambda r: 4,
-        lhs=lambda p, r, n: alt_weighted_conv(3, n),
-        rhs=lambda p, r, n: rhs_triple_alt(n),
+        BALANCING, 3, _alternating_n_min, _ALTERNATING_LHS, _of_n(rhs_triple_alt)
     ),
     IdentityId.GENERAL_ALT: IdentityInfo(
-        params=BALANCING,
-        r=None,
-        min_r=2,
-        n_min=lambda r: max(0, 3 * r - 5),
-        lhs=lambda p, r, n: alt_weighted_conv(r, n),
-        rhs=lambda p, r, n: rhs_general_alt(r, n),
+        BALANCING, None, _alternating_n_min, _ALTERNATING_LHS, _of_r_n(rhs_general_alt), min_r=2
     ),
     IdentityId.COR_PRINTED_R4: IdentityInfo(
-        params=BALANCING,
-        r=4,
-        min_r=4,
-        n_min=lambda r: 7,
-        lhs=lambda p, r, n: alt_weighted_conv(4, n),
-        rhs=lambda p, r, n: rhs_printed_corollary(4, n),
+        BALANCING, 4, _alternating_n_min, _ALTERNATING_LHS, _PRINTED_RHS
     ),
     IdentityId.COR_PRINTED_R5: IdentityInfo(
-        params=BALANCING,
-        r=5,
-        min_r=5,
-        n_min=lambda r: 10,
-        lhs=lambda p, r, n: alt_weighted_conv(5, n),
-        rhs=lambda p, r, n: rhs_printed_corollary(5, n),
+        BALANCING, 5, _alternating_n_min, _ALTERNATING_LHS, _PRINTED_RHS
     ),
     IdentityId.COR_PRINTED_R6: IdentityInfo(
-        params=BALANCING,
-        r=6,
-        min_r=6,
-        n_min=lambda r: 13,
-        lhs=lambda p, r, n: alt_weighted_conv(6, n),
-        rhs=lambda p, r, n: rhs_printed_corollary(6, n),
+        BALANCING, 6, _alternating_n_min, _ALTERNATING_LHS, _PRINTED_RHS
     ),
     IdentityId.PAIR_PLAIN: IdentityInfo(
-        params=BALANCING,
-        r=2,
-        min_r=2,
-        n_min=lambda r: 2,
-        lhs=lambda p, r, n: pair_plain_sum(n),
-        rhs=lambda p, r, n: rhs_pair_plain(n),
+        BALANCING, 2, _plain_n_min, _of_n(pair_plain_sum), _of_n(rhs_pair_plain)
     ),
     IdentityId.GENERAL_PLAIN: IdentityInfo(
-        params=BALANCING,
-        r=None,
-        min_r=2,
-        n_min=lambda r: r,
-        lhs=conv_power,
-        rhs=lambda p, r, n: rhs_general_plain(r, n),
+        BALANCING, None, _plain_n_min, conv_power, _of_r_n(rhs_general_plain), min_r=2
     ),
     IdentityId.BINOM_PAIR_B: IdentityInfo(
-        params=BALANCING,
-        r=2,
-        min_r=2,
-        n_min=lambda r: 0,
-        lhs=binom_conv_u,
-        rhs=lambda p, r, n: rhs_binom_pair_b(n),
+        BALANCING, 2, _binomial_n_min, binom_conv_u, _of_n(rhs_binom_pair_b)
     ),
     IdentityId.BINOM_PAIR_C: IdentityInfo(
-        params=BALANCING,
-        r=2,
-        min_r=2,
-        n_min=lambda r: 0,
-        lhs=lambda p, r, n: binom_conv_c(2, n),
-        rhs=lambda p, r, n: rhs_binom_pair_c(n),
+        BALANCING, 2, _binomial_n_min, _BINOM_C_LHS, _of_n(rhs_binom_pair_c)
     ),
     IdentityId.MULTINOM_TRIPLE_B: IdentityInfo(
-        params=BALANCING,
-        r=3,
-        min_r=3,
-        n_min=lambda r: 0,
-        lhs=binom_conv_u,
-        rhs=lambda p, r, n: rhs_multinom_triple_b(n),
+        BALANCING, 3, _binomial_n_min, binom_conv_u, _of_n(rhs_multinom_triple_b)
     ),
     IdentityId.MULTINOM_TRIPLE_C: IdentityInfo(
-        params=BALANCING,
-        r=3,
-        min_r=3,
-        n_min=lambda r: 0,
-        lhs=lambda p, r, n: binom_conv_c(3, n),
-        rhs=lambda p, r, n: rhs_multinom_triple_c(n),
+        BALANCING, 3, _binomial_n_min, _BINOM_C_LHS, _of_n(rhs_multinom_triple_c)
     ),
     IdentityId.GENERAL_U: IdentityInfo(
-        params=None,
-        r=None,
-        min_r=1,
-        n_min=lambda r: 0,
-        lhs=binom_conv_u,
-        rhs=rhs_multinom_u,
+        None, None, _binomial_n_min, binom_conv_u, rhs_multinom_u
     ),
     IdentityId.GENERAL_V: IdentityInfo(
-        params=None,
-        r=None,
-        min_r=1,
-        n_min=lambda r: 0,
-        lhs=binom_conv_v,
-        rhs=rhs_multinom_v,
+        None, None, _binomial_n_min, binom_conv_v, rhs_multinom_v
     ),
     IdentityId.FIB_PAIR_F: IdentityInfo(
-        params=FIBONACCI,
-        r=2,
-        min_r=2,
-        n_min=lambda r: 0,
-        lhs=binom_conv_u,
-        rhs=lambda p, r, n: rhs_fib_pair_f(n),
+        FIBONACCI, 2, _binomial_n_min, binom_conv_u, _of_n(rhs_fib_pair_f)
     ),
     IdentityId.FIB_PAIR_L: IdentityInfo(
-        params=FIBONACCI,
-        r=2,
-        min_r=2,
-        n_min=lambda r: 0,
-        lhs=binom_conv_v,
-        rhs=lambda p, r, n: rhs_fib_pair_l(n),
+        FIBONACCI, 2, _binomial_n_min, binom_conv_v, _of_n(rhs_fib_pair_l)
     ),
 }
 
@@ -710,43 +691,50 @@ class VerificationReport:
         return not self.failures
 
 
+def clamp_to_domain(identity: IdentityId, r: int, lo: int | None, hi: int) -> tuple[int, int]:
+    """The part of [lo, hi] inside the identity's domain n >= n_min(r).
+
+    ``lo`` None starts at the domain minimum.  An empty range, or one that
+    lies wholly below the domain, is an error.
+    """
+    n_min = CATALOG[identity].n_min(r)
+    if lo is not None and lo > hi:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    if hi < n_min:
+        asked = f"n <= {hi}" if lo is None else f"range [{lo}, {hi}]"
+        raise ValueError(f"{asked} lies below the domain of {identity.value}: n >= {n_min}")
+    return (n_min if lo is None else max(lo, n_min)), hi
+
+
+def evaluate_range(
+    identity: IdentityId, params: SeqParams, r: int, lo: int, hi: int
+) -> Iterator[tuple[int, int, int]]:
+    """Yield (n, oracle value, closed-form value) for n = lo..hi."""
+    info = CATALOG[identity]
+    for n in range(lo, hi + 1):
+        yield n, info.lhs(params, r, n), info.rhs(params, r, n)
+
+
 def verify_identity(
     identity: IdentityId,
-    n_range: tuple[int, int],
+    n_range: tuple[int | None, int],
     params: SeqParams | None = None,
     r: int | None = None,
 ) -> VerificationReport:
     """Evaluate oracle and closed form for every n in range; record mismatches.
 
-    The requested range is clamped to the identity's validity domain; an
-    empty intersection is an error.  Every failure witness re-evaluates to
-    the recorded values because both sides are pure.
+    The requested range is clamped by :func:`clamp_to_domain` (a lower end
+    of None starts at the domain minimum).  Every failure witness
+    re-evaluates to the recorded values because both sides are pure.
     """
     params, r = resolve_identity_args(identity, params, r)
-    info = CATALOG[identity]
-    lo, hi = n_range
-    if lo > hi:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    lo = max(lo, info.n_min(r))
-    if lo > hi:
-        raise ValueError(
-            f"range [{n_range[0]}, {hi}] does not meet the domain of "
-            f"{identity.value} (n >= {info.n_min(r)})"
-        )
-    failures = []
-    for n in range(lo, hi + 1):
-        lhs = info.lhs(params, r, n)
-        rhs = info.rhs(params, r, n)
-        if lhs != rhs:
-            failures.append(Failure(n, lhs, rhs))
-    return VerificationReport(
-        identity=identity,
-        params=params,
-        r=r,
-        n_range=(lo, hi),
-        checked=hi - lo + 1,
-        failures=tuple(failures),
+    lo, hi = clamp_to_domain(identity, r, *n_range)
+    failures = tuple(
+        Failure(n, lhs, rhs)
+        for n, lhs, rhs in evaluate_range(identity, params, r, lo, hi)
+        if lhs != rhs
     )
+    return VerificationReport(identity, params, r, (lo, hi), hi - lo + 1, failures)
 
 
 @unlimited_int_digits()

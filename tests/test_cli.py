@@ -8,7 +8,13 @@ import pytest
 
 from balconv.cli import run
 from balconv.combinatorics import unlimited_int_digits
-from balconv.identities import IdentityId, report_from_dict, verify_identity
+from balconv.identities import (
+    CATALOG,
+    IdentityId,
+    report_from_dict,
+    resolve_identity_args,
+    verify_identity,
+)
 from balconv.sequences import balancing
 
 #: stdout and exit code of every subcommand in every format, pinned byte for byte.
@@ -209,6 +215,42 @@ def test_missing_r_exits_2():
 def test_out_of_domain_n_exits_2():
     code, _, err = invoke(["closed", "--identity", "general-alt", "--r", "4", "--n", "3"])
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "identity, r",
+    [
+        pytest.param(identity, r, id=f"{identity.value} r={r}")
+        for identity, info in CATALOG.items()
+        for r in ((info.r,) if info.r is not None else range(info.min_r, info.min_r + 3))
+    ],
+)
+def test_closed_honours_each_identity_domain(identity, r):
+    info = CATALOG[identity]
+    params, r = resolve_identity_args(identity, None, r)
+    n_min = info.n_min(r)
+    argv = ["closed", "--identity", identity.value, "--r", str(r), "--n"]
+    assert invoke([*argv, str(n_min)]) == (0, f"{info.rhs(params, r, n_min)}\n", "")
+    if n_min >= 1:
+        code, out, err = invoke([*argv, str(n_min - 1)])
+        assert (code, out) == (2, "") and err.endswith(f"{identity.value}: n >= {n_min}\n")
+        with pytest.raises(ValueError):  # the closed form's own guard draws the same line
+            info.rhs(params, r, n_min - 1)
+
+
+def test_table_clamps_below_domain_like_verify():
+    args = ["--identity", "general-alt", "--r", "4", "--n-min", "0", "--n-max", "8"]
+    code, out, _ = invoke(["table", *args, "--format", "csv"])
+    assert code == 0 and [line.split(",")[0] for line in out.splitlines()] == ["n", "7", "8"]
+    code, out, _ = invoke(["verify", *args, "--format", "json"])
+    assert code == 0 and json.loads(out)["range"] == ["7", "8"]
+
+
+@pytest.mark.parametrize("command", ["verify", "table"])
+def test_range_below_domain_names_the_domain(command):
+    code, out, err = invoke([command, "--identity", "general-plain", "--r", "2", "--n-max", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: n <= 1 lies below the domain of general-plain: n >= 2\n"
 
 
 def test_malformed_range_exits_2():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from balconv.combinatorics import IntegralityError, as_integer, binom, int_pow, multinomial
+from balconv.combinatorics import IntegralityError, as_integer, binom, multinomial
 
 
 def test_binom_examples():
@@ -71,17 +71,6 @@ def test_multinomial_is_product_of_successive_binomials(parts):
         acc *= binom(remaining, p)
         remaining -= p
     assert multinomial(n, parts) == acc
-
-
-def test_int_pow_examples():
-    assert int_pow(0, 0) == 1
-    assert int_pow(6, 3) == 216
-    assert int_pow(-1, 5) == -1
-
-
-def test_int_pow_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        int_pow(2, -1)
 
 
 @given(st.integers(), st.integers(), st.integers())

@@ -1,9 +1,14 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import prod
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import balconv
 from balconv import sequences
-from balconv.combinatorics import IntegralityError, binom
+from balconv.combinatorics import IntegralityError, binom, multinomial
 from balconv.identities import (
     CATALOG,
     PARAM_GRID,
@@ -33,12 +38,22 @@ from balconv.identities import (
     rhs_multinom_u,
     rhs_multinom_v,
     rhs_pair_plain,
+    rhs_pair_telescope,
     rhs_printed_balancing_even_b,
     rhs_printed_corollary,
     rhs_triple_alt,
     verify_identity,
 )
-from balconv.sequences import BALANCING, FIBONACCI, SeqParams, balancing, lucas, u, v
+from balconv.sequences import (
+    BALANCING,
+    FIBONACCI,
+    SeqParams,
+    balancing,
+    lucas,
+    lucas_balancing,
+    u,
+    v,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +114,7 @@ def test_alt_weighted_conv_rejects_bad_args():
 def test_pair_telescope_sum():
     assert pair_telescope_sum(5) == 5945  # 5 * B_5
     for n in range(1, 60):
-        assert pair_telescope_sum(n) == n * balancing(n)
+        assert pair_telescope_sum(n) == n * balancing(n) == rhs_pair_telescope(n)
 
 
 def test_pair_plain_sum_is_two_fold_convolution():
@@ -227,6 +242,28 @@ def test_binom_conv_r1_is_sequence():
         assert binom_conv_v(FIBONACCI, 1, n) == lucas(n)
 
 
+def _binom_conv_by_enumeration(term, r, n, least):
+    # sum over (k_1..k_r), each k_i >= least, summing to n, of multinomial * term(k_1)...term(k_r)
+    free = n - r * least
+    total = 0
+    for cuts in combinations_with_replacement(range(free + 1), r - 1):
+        bounds = (0, *cuts, free)
+        parts = [hi - lo + least for lo, hi in zip(bounds, bounds[1:])]
+        total += multinomial(n, parts) * prod(term(k) for k in parts)
+    return total
+
+
+def test_binom_conv_matches_composition_enumeration():
+    for r in range(1, 5):
+        for n in range(11):
+            for params in PARAM_GRID:
+                want_u = _binom_conv_by_enumeration(lambda k: u(params, k), r, n, 1)
+                want_v = _binom_conv_by_enumeration(lambda k: v(params, k), r, n, 0)
+                assert binom_conv_u(params, r, n) == want_u
+                assert binom_conv_v(params, r, n) == want_v
+            assert binom_conv_c(r, n) == _binom_conv_by_enumeration(lucas_balancing, r, n, 0)
+
+
 def test_binom_conv_rejects_bad_args():
     with pytest.raises(ValueError):
         binom_conv_u(BALANCING, 0, 3)
@@ -346,6 +383,7 @@ def test_verify_clamps_to_domain():
     report = verify_identity(IdentityId.TRIPLE_ALT, (0, 20))
     assert report.n_range == (4, 20)
     assert report.checked == 17
+    assert verify_identity(IdentityId.TRIPLE_ALT, (None, 20)) == report
 
 
 def test_verify_printed_r5_records_failures():
@@ -363,6 +401,21 @@ def test_verify_general_u_params():
     report = verify_identity(IdentityId.GENERAL_U, (0, 25), params=SeqParams(3, 2), r=4)
     assert report.passed
     assert report.params == SeqParams(3, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([IdentityId.GENERAL_U, IdentityId.GENERAL_V]),
+    st.integers(-9, 9),
+    st.integers(-9, 9),
+    st.integers(1, 5),
+)
+@example(IdentityId.GENERAL_U, -3, 2, 5)
+@example(IdentityId.GENERAL_V, 2, -5, 4)
+def test_verify_general_u_v_random_params(identity, a, b, r):
+    assume(a * a + 4 * b != 0)
+    report = verify_identity(identity, (0, 15), params=SeqParams(a, b), r=r)
+    assert report.passed and report.checked == 16
 
 
 def test_verify_usage_errors():
@@ -431,3 +484,10 @@ def test_integrality_never_fires_on_valid_domains():
                     rhs_multinom_u(params, r, n)
     except IntegralityError as exc:  # pragma: no cover
         pytest.fail(f"integrality assertion fired: {exc}")
+
+
+def test_package_exports_what_the_cold_benchmark_calls():
+    called = {"BALANCING", "conv_power", "rhs_general_plain", "binom_conv_u", "rhs_multinom_u",
+              "verify_ogf_square_relation"}
+    assert called <= set(balconv.__all__)
+    assert all(hasattr(balconv, name) for name in balconv.__all__)
