@@ -7,7 +7,8 @@ report mismatches), ``series-check`` (exact power-series checks), ``table``
 
 Exit codes: 0 success / all checks pass, 1 verification found mismatches
 (report still emitted), 2 usage or domain error, an unwritable ``--output``,
-or an r too large for the recursive oracle tables.  All integers in machine
+or an r too large for the OGF-power table, the one oracle table that still
+recurses (once per factor).  All integers in machine
 output are decimal strings; they outgrow 64-bit types quickly, so CPython's
 int/str digit limit is lifted while :func:`run` executes.
 """
@@ -343,9 +344,9 @@ def run(argv: Sequence[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # Only the oracle tables recurse this deep, and every command that builds one has --r.
+        # Only the OGF-power table recurses this deep, and every command that builds one has --r.
         print(
-            f"error: r = {args.r} is too large: the oracle tables recurse once per fold "
+            f"error: r = {args.r} is too large: the OGF-power table recurses once per factor "
             f"(recursion limit {sys.getrecursionlimit()})",
             file=sys.stderr,
         )

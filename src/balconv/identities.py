@@ -15,6 +15,7 @@ transcription diverges from the general formula.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -86,14 +87,9 @@ PARAM_GRID: tuple[SeqParams, ...] = (
 )
 
 
-def _padded_order(n: int) -> int:
-    # Round requests up so sweeps share one cached prefix per (params, r).
-    return max(64, -(-(n + 1) // 64) * 64)
-
-
 def clear_caches() -> None:
     """Drop every memoized value: series powers, folds, binomials and sequence tables."""
-    for cached in (_ogf_power, _binom_fold, _seq_prefix, combinatorics.binom):
+    for cached in (_ogf_power, _binom_fold, combinatorics.binom):
         cached.cache_clear()
     sequences._caches.clear()
 
@@ -101,6 +97,11 @@ def clear_caches() -> None:
 # ---------------------------------------------------------------------------
 # Oracles (plain convolutions)
 # ---------------------------------------------------------------------------
+
+
+def _padded_order(n: int) -> int:
+    # Round requests up so sweeps share one cached power per (params, r).
+    return max(64, -(-(n + 1) // 64) * 64)
 
 
 @lru_cache(maxsize=None)
@@ -186,38 +187,43 @@ def pair_plain_sum(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _seq_prefix(params: SeqParams, which: str, order: int) -> tuple[int, ...]:
-    if which == "u":
-        return tuple(u(params, i) for i in range(order + 1))
-    if which == "v":
-        return tuple(v(params, i) for i in range(order + 1))
-    if which == "c":
-        if params != BALANCING:
-            raise ValueError("the halved companion sequence is only defined at (6, -1)")
-        return tuple(lucas_balancing(i) for i in range(order + 1))
-    raise ValueError(f"unknown sequence selector {which!r}")
+_fold_lock = threading.Lock()
 
 
 @lru_cache(maxsize=None)
-def _binom_fold(params: SeqParams, which: str, r: int, order: int) -> tuple[int, ...]:
-    # r-fold iteration of (f @ g)_n = sum_k C(n,k) f_k g_{n-k}
-    base = _seq_prefix(params, which, order)
-    if r == 1:
-        return base
-    prev = _binom_fold(params, which, r - 1, order)
-    return tuple(
-        sum(comb(n, k) * prev[k] * base[n - k] for k in range(n + 1))
-        for n in range(order + 1)
-    )
+def _binom_fold(params: SeqParams, which: str, r: int) -> list[int]:
+    # Registry of the grow-only fold levels; only _fold_levels appends to them.
+    return []
 
 
-def _binom_conv(params: SeqParams, which: str, r: int, n: int) -> int:
+def _fold_levels(params: SeqParams, which: str, r: int, n: int) -> list[int]:
+    """Level r of the ``which``-sequence fold, grown to hold index n.
+
+    Level 1 is the sequence; level k is (level k-1) @ (level 1) with
+    (f @ g)_m = sum_j C(m,j) f_j g_{m-j}.  Levels grow bottom up and only by
+    appending, under a lock, so none is shorter than a level above it.
+    """
+    top = _binom_fold(params, which, r)
+    if n < len(top):
+        return top
+    term = u if which == "u" else v
+    with _fold_lock:
+        base = level = _binom_fold(params, which, 1)
+        for m in range(len(base), n + 1):
+            base.append(term(params, m))
+        for k in range(2, r + 1):
+            prev, level = level, _binom_fold(params, which, k)
+            for m in range(len(level), n + 1):
+                level.append(sum(comb(m, j) * prev[j] * base[m - j] for j in range(m + 1)))
+    return level
+
+
+def _binom_conv(name: str, params: SeqParams, which: str, r: int, n: int) -> int:
     if r < 1:
-        raise ValueError(f"binom_conv_{which}: r must be >= 1, got {r}")
+        raise ValueError(f"{name}: r must be >= 1, got {r}")
     if n < 0:
-        raise ValueError(f"binom_conv_{which}: n must be nonnegative, got {n}")
-    return _binom_fold(params, which, r, _padded_order(n))[n]
+        raise ValueError(f"{name}: n must be nonnegative, got {n}")
+    return _fold_levels(params, which, r, n)[n]
 
 
 def binom_conv_u(params: SeqParams, r: int, n: int) -> int:
@@ -226,17 +232,20 @@ def binom_conv_u(params: SeqParams, r: int, n: int) -> int:
     Parts range over >= 1; since u_0 = 0, the unrestricted binomial fold
     already agrees with that convention.
     """
-    return _binom_conv(params, "u", r, n)
+    return _binom_conv("binom_conv_u", params, "u", r, n)
 
 
 def binom_conv_v(params: SeqParams, r: int, n: int) -> int:
     """Multinomial-weighted sum of v_{k_1}...v_{k_r}, parts ranging over >= 0."""
-    return _binom_conv(params, "v", r, n)
+    return _binom_conv("binom_conv_v", params, "v", r, n)
 
 
 def binom_conv_c(r: int, n: int) -> int:
-    """Multinomial-weighted sum of C_{k_1}...C_{k_r} (Lucas-balancing), parts >= 0."""
-    return _binom_conv(BALANCING, "c", r, n)
+    """Multinomial-weighted sum of C_{k_1}...C_{k_r} (Lucas-balancing), parts >= 0.
+
+    C_k = v_k / 2 at (6, -1), so this is the v-fold there divided exactly by 2^r.
+    """
+    return as_integer(Fraction(_binom_conv("binom_conv_c", BALANCING, "v", r, n), 2**r))
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +372,8 @@ def _powers(base: int, n: int) -> list[int]:
 
 
 def _weighted_binomial_sum(params: SeqParams, which: str, p: int, q: int, n: int) -> int:
-    # sum_k C(n,k) p^{n-k} q^k w_k over 0 <= k <= n, with 0^0 = 1
-    seq = _seq_prefix(params, which, _padded_order(n))
+    # sum_k C(n,k) p^{n-k} q^k w_k over 0 <= k <= n, with 0^0 = 1; w is the fold's level 1
+    seq = _fold_levels(params, which, 1, n)
     pw_p = _powers(p, n)
     pw_q = _powers(q, n)
     return sum(comb(n, k) * pw_p[n - k] * pw_q[k] * seq[k] for k in range(n + 1))
@@ -441,7 +450,7 @@ def rhs_multinom_triple_b(n: int) -> int:
     """(3^n B_n - 3 sum_k C(n,k) 6^{n-k} B_k) / 32."""
     if n < 0:
         raise ValueError(f"rhs_multinom_triple_b: n must be nonnegative, got {n}")
-    mixed = sum(comb(n, k) * 6 ** (n - k) * balancing(k) for k in range(n + 1))
+    mixed = _weighted_binomial_sum(BALANCING, "u", 6, 1, n)
     return as_integer(Fraction(3**n * balancing(n) - 3 * mixed, 32))
 
 
@@ -449,7 +458,8 @@ def rhs_multinom_triple_c(n: int) -> int:
     """(3^n C_n + 3 sum_k C(n,k) 6^{n-k} C_k) / 4."""
     if n < 0:
         raise ValueError(f"rhs_multinom_triple_c: n must be nonnegative, got {n}")
-    mixed = sum(comb(n, k) * 6 ** (n - k) * lucas_balancing(k) for k in range(n + 1))
+    # sum_k C(n,k) 6^{n-k} C_k is the v-weighted sum halved, since C_k = v_k / 2
+    mixed = as_integer(Fraction(_weighted_binomial_sum(BALANCING, "v", 6, 1, n), 2))
     return as_integer(Fraction(3**n * lucas_balancing(n) + 3 * mixed, 4))
 
 
@@ -480,8 +490,9 @@ def rhs_printed_balancing_even_b(r: int, n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"rhs_printed_balancing_even_b: n must be nonnegative, got {n}")
     half = r // 2
-    total = 2 * sum(
-        (-1) ** j * binom(r, j) * _weighted_binomial_sum(BALANCING, "c", 6 * j, r - 2 * j, n)
+    # the transcription's 2 * (C-weighted sum) is the v-weighted sum, since C_k = v_k / 2
+    total = sum(
+        (-1) ** j * binom(r, j) * _weighted_binomial_sum(BALANCING, "v", 6 * j, r - 2 * j, n)
         for j in range(half)
     )
     total += (-1) ** half * binom(r, half) * half**n

@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import prod
@@ -7,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import balconv
-from balconv import sequences
+from balconv import identities, sequences
 from balconv.combinatorics import IntegralityError, binom, multinomial
 from balconv.identities import (
     CATALOG,
@@ -264,6 +266,55 @@ def test_binom_conv_matches_composition_enumeration():
             assert binom_conv_c(r, n) == _binom_conv_by_enumeration(lucas_balancing, r, n, 0)
 
 
+def test_binom_fold_grows_in_place_out_of_order():
+    # each call extends the shared levels from their current length, and the
+    # closed forms read (and grow) level 1 of the u- and v-folds in between
+    def sides(r, n):
+        return (
+            rhs_multinom_u(BALANCING, r, n),
+            binom_conv_u(BALANCING, r, n),
+            binom_conv_v(BALANCING, r, n),
+            rhs_multinom_v(BALANCING, r, n),
+            binom_conv_c(r, n),
+        )
+
+    clear_caches()
+    grown = {(r, n): sides(r, n) for n in (40, 3, 75, 0, 76) for r in (3, 1, 4, 2)}
+    closed_c = {2: rhs_binom_pair_c, 3: rhs_multinom_triple_c}
+    for (r, n), (closed_u, fold_u, fold_v, closed_v, fold_c) in grown.items():
+        assert (fold_u, fold_v) == (closed_u, closed_v)
+        if r in closed_c:
+            assert fold_c == closed_c[r](n)
+        clear_caches()
+        assert sides(r, n) == grown[r, n]
+
+
+def test_binom_fold_grows_safely_from_four_threads():
+    params, r, n_max = SeqParams(1, 2), 4, 27
+    want = [_binom_conv_by_enumeration(lambda k: u(params, k), r, n, 1) for n in range(n_max + 1)]
+    clear_caches()
+    start = threading.Barrier(4, timeout=60)
+    got = [{} for _ in range(4)]
+
+    def grow(t):
+        start.wait()
+        for n in range(t, n_max + 1, 4):  # thread t asks n = t, t + 4, ...: interleaved growth
+            got[t][n] = binom_conv_u(params, r, n)
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(thread.is_alive() for thread in threads)
+    assert {n: value for part in got for n, value in part.items()} == dict(enumerate(want))
+
+
 def test_binom_conv_rejects_bad_args():
     with pytest.raises(ValueError):
         binom_conv_u(BALANCING, 0, 3)
@@ -462,6 +513,7 @@ def test_clear_caches_drops_every_memo():
     binom(9, 4)
     clear_caches()
     assert binom.cache_info().currsize == 0
+    assert identities._binom_fold.cache_info().currsize == 0
     assert not sequences._caches
     assert conv_power(BALANCING, 3, 10) == rhs_general_plain(3, 10)
 

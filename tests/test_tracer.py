@@ -19,14 +19,18 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 
-ARGVS = [
-    ["seq", "--kind", "lucas-balancing", "--to", "6"],
-    ["conv", "--kind", "v", "--a", "1", "--b", "2", "--r", "3", "--n", "9", "--binomial"],
-    ["closed", "--identity", "general-plain", "--r", "3", "--n", "10", "--format", "json"],
-    ["verify", "--identity", "cor-printed-r5", "--n-max", "13"],
-    ["series-check", "--r", "3", "--order", "20", "--format", "csv"],
-    ["table", "--identity", "general-alt", "--r", "4", "--n-max", "12"],
-]
+#: Test id -> argv.  The halved Lucas-balancing fold and the fold level that
+#: general-u's closed form shares with its oracle run under the tracer too.
+ARGVS = {
+    "seq": ["seq", "--kind", "lucas-balancing", "--to", "6"],
+    "conv": ["conv", "--kind", "v", "--a", "1", "--b", "2", "--r", "3", "--n", "9", "--binomial"],
+    "conv-lucas-balancing": ["conv", "--kind", "lucas-balancing", "--r", "3", "--n", "20", "--binomial"],
+    "closed": ["closed", "--identity", "general-plain", "--r", "3", "--n", "10", "--format", "json"],
+    "verify": ["verify", "--identity", "cor-printed-r5", "--n-max", "13"],
+    "verify-general-u": ["verify", "--identity", "general-u", "--r", "4", "--a", "-2", "--b", "3", "--n-max", "30"],
+    "series-check": ["series-check", "--r", "3", "--order", "20", "--format", "csv"],
+    "table": ["table", "--identity", "general-alt", "--r", "4", "--n-max", "12"],
+}
 
 
 def _env() -> dict:
@@ -58,7 +62,7 @@ def _traced(argv: list[str]) -> tuple[subprocess.CompletedProcess, str]:
     return proc, "".join(chunks)
 
 
-@pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", ARGVS.values(), ids=ARGVS)
 def test_tracer_matches_cli(argv):
     traced, record = _traced(argv)
     plain = subprocess.run(
