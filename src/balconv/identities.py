@@ -108,7 +108,7 @@ def _padded_order(n: int) -> int:
 def _ogf_power(params: SeqParams, r: int, order: int) -> Series:
     if r == 1:
         return ogf(params, order)
-    return _ogf_power(params, r - 1, order) * ogf(params, order)
+    return _ogf_power(params, r - 1, order) * _ogf_power(params, 1, order)
 
 
 def conv_power(params: SeqParams, r: int, n: int) -> int:

@@ -12,6 +12,11 @@ conservative:
 * the k-th derivative lowers it by k,
 * ``agrees_with`` compares only the common trusted prefix.
 
+Coefficients are always exact ``Fraction``s.  A Cauchy product nonetheless
+does no rational arithmetic in its O(m^2) loop: it scales each factor's
+coefficients to integers over one common denominator, multiplies integers,
+and divides once per output coefficient.
+
 Division by (1 - x^2)^k never goes through general series inversion: the
 expansion is written down directly by :func:`geom_even_pow`, which keeps
 every coefficient a manifest small-denominator rational.
@@ -20,7 +25,7 @@ every coefficient a manifest small-denominator rational.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Union
 
 from .combinatorics import binom
@@ -42,13 +47,14 @@ class Series:
 
     ``Series(coeffs)`` takes the order from the coefficient count;
     ``Series(coeffs, order=n)`` zero-pads or truncates to exactly n + 1
-    coefficients.
+    coefficients.  Ints are converted to ``Fraction`` here and Fractions kept
+    as given; products multiply integers over a common denominator.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[CoeffLike], order: int | None = None) -> None:
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError(f"Series: order must be nonnegative, got {order}")
@@ -121,20 +127,27 @@ class Series:
         return Series([-c for c in self._coeffs])
 
     def __mul__(self, other: Series) -> Series:
-        """Cauchy product, truncated where an unknown tail could first intrude."""
+        """Cauchy product, truncated where an unknown tail could first intrude.
+
+        Each factor's used prefix is scaled to integers by the lcm of its
+        denominators; each output coefficient is one Fraction over the
+        product of the two scales.
+        """
         if not isinstance(other, Series):
             return NotImplemented
         m = min(self.order + other.valuation(), other.order + self.valuation())
-        out = [Fraction(0)] * (m + 1)
-        b = other._coeffs
-        for i, ai in enumerate(self._coeffs):
-            if not ai or i > m:
+        a, da = _over_common_denominator(self._coeffs[: m + 1])
+        b, db = _over_common_denominator(other._coeffs[: m + 1])
+        out = [0] * (m + 1)
+        for i, ai in enumerate(a):
+            if not ai:
                 continue
-            for j in range(min(other.order, m - i) + 1):
+            for j in range(min(len(b) - 1, m - i) + 1):
                 bj = b[j]
                 if bj:
                     out[i + j] += ai * bj
-        return Series(out)
+        d = da * db
+        return Series([Fraction(c, d) for c in out])
 
     def scale(self, c: CoeffLike) -> Series:
         """Multiply every coefficient by the exact scalar c."""
@@ -173,6 +186,12 @@ class Series:
         return result
 
 
+def _over_common_denominator(cs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integers c_i * d and the lcm d of the denominators, so c_i = int_i / d."""
+    d = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (d // c.denominator) for c in cs], d
+
+
 def ogf(params: SeqParams, order: int) -> Series:
     """Expansion of x / (1 - a*x - b*x^2), whose coefficients are the u-terms.
 
@@ -182,9 +201,9 @@ def ogf(params: SeqParams, order: int) -> Series:
     """
     if order < 0:
         raise ValueError(f"ogf: order must be nonnegative, got {order}")
-    coeffs = [Fraction(0)] * (order + 1)
+    coeffs = [0] * (order + 1)
     if order >= 1:
-        coeffs[1] = Fraction(1)
+        coeffs[1] = 1
     for n in range(2, order + 1):
         coeffs[n] = params.a * coeffs[n - 1] + params.b * coeffs[n - 2]
     return Series(coeffs)
@@ -239,6 +258,9 @@ def verify_power_expansion(r: int, order: int) -> bool:
     """
     if r < 2:
         raise ValueError(f"verify_power_expansion: r must be >= 2, got {r}")
+    if order < r - 1:
+        # f^{(r-1)} needs r - 1 trusted coefficients beyond x^0
+        raise ValueError(f"verify_power_expansion: order must be >= r - 1 = {r - 1}, got {order}")
     f = ogf(BALANCING, order)
     lhs = f.pow(r)
     rhs = (

@@ -154,6 +154,12 @@ def test_series_check_command():
     assert data == {"check": "power-expansion", "r": "3", "order": "40", "passed": True}
 
 
+def test_series_check_order_below_power_bound_exits_2():
+    code, out, err = invoke(["series-check", "--order", "0", "--r", "3"])
+    assert code == 2 and out == ""
+    assert err == "error: verify_power_expansion: order must be >= r - 1 = 2, got 0\n"
+
+
 def test_verify_csv_lists_failures():
     code, out, _ = invoke(["verify", "--identity", "cor-printed-r5", "--n-max", "14", "--format", "csv"])
     assert code == 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from balconv.identities import conv_power_by_enumeration
+from balconv.identities import conv_power, conv_power_by_enumeration, rhs_general_plain
 from balconv.sequences import BALANCING, FIBONACCI, SeqParams, u
 from balconv.series import (
     Series,
@@ -17,6 +17,15 @@ from balconv.series import (
 coeff_st = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 series_st = st.lists(coeff_st, min_size=1, max_size=8).map(Series)
 series2_st = st.lists(coeff_st, min_size=2, max_size=8).map(Series)
+# Leading zeros raise the valuation; all-zero operands push it past the order.
+shifted_series_st = st.builds(
+    lambda zeros, cs: Series([0] * zeros + cs),
+    st.integers(0, 3),
+    st.one_of(
+        st.lists(coeff_st, min_size=1, max_size=8),
+        st.lists(st.just(Fraction(0)), min_size=1, max_size=4),
+    ),
+)
 
 
 def test_construction_and_order():
@@ -127,6 +136,30 @@ def test_series_pow_matches_composition_enumeration():
         fr = f.pow(r)
         for n in range(13):
             assert fr.coefficient(n) == conv_power_by_enumeration(BALANCING, r, n)
+
+
+@given(shifted_series_st, shifted_series_st)
+def test_mul_matches_literal_fraction_double_loop(f, g):
+    def val(cs):
+        return next((i for i, c in enumerate(cs) if c), len(cs))
+
+    a, b = f.coeffs, g.coeffs
+    m = min(len(a) - 1 + val(b), len(b) - 1 + val(a))
+    expected = [Fraction(0)] * (m + 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if i + j <= m:
+                expected[i + j] += ai * bj
+    product = f * g
+    assert product.coeffs == tuple(expected)
+    assert all(type(c) is Fraction for c in product.coeffs)
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_conv_power_matches_closed_form_across_table_blocks(r):
+    # n straddles the 64-coefficient blocks the OGF-power tables are built in
+    for n in (63, 64, 65, 127, 128, 129):
+        assert conv_power(BALANCING, r, n) == rhs_general_plain(r, n)
 
 
 @given(series_st, series_st)

@@ -19,11 +19,13 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 
-#: Test id -> argv.  The halved Lucas-balancing fold and the fold level that
-#: general-u's closed form shares with its oracle run under the tracer too.
+#: Test id -> argv.  The halved Lucas-balancing fold, the fold level that
+#: general-u's closed form shares with its oracle, and an OGF power built in
+#: the order-128 table run under the tracer too.
 ARGVS = {
     "seq": ["seq", "--kind", "lucas-balancing", "--to", "6"],
     "conv": ["conv", "--kind", "v", "--a", "1", "--b", "2", "--r", "3", "--n", "9", "--binomial"],
+    "conv-plain": ["conv", "--kind", "balancing", "--r", "4", "--n", "70"],
     "conv-lucas-balancing": ["conv", "--kind", "lucas-balancing", "--r", "3", "--n", "20", "--binomial"],
     "closed": ["closed", "--identity", "general-plain", "--r", "3", "--n", "10", "--format", "json"],
     "verify": ["verify", "--identity", "cor-printed-r5", "--n-max", "13"],
