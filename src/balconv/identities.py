@@ -32,8 +32,9 @@ from .sequences import (
     balancing,
     lucas,
     lucas_balancing,
+    terms,
     u,
-    v,
+    v,  # no caller here, but perfbench/tracer.py wraps it by this name
 )
 from .series import Series, ogf
 
@@ -170,16 +171,16 @@ def pair_telescope_sum(n: int) -> int:
     """sum_{j=1}^{n} (B_j B_{n-j+1} - B_{j-1} B_{n-j}); total, empty sum is 0."""
     if n < 0:
         raise ValueError(f"pair_telescope_sum: n must be nonnegative, got {n}")
-    B = balancing
-    return sum(B(j) * B(n - j + 1) - B(j - 1) * B(n - j) for j in range(1, n + 1))
+    B = terms(BALANCING, "u", n)
+    return sum(B[j] * B[n - j + 1] - B[j - 1] * B[n - j] for j in range(1, n + 1))
 
 
 def pair_plain_sum(n: int) -> int:
     """sum_{j=1}^{n-1} B_j B_{n-j}, the two-fold convolution written out."""
     if n < 0:
         raise ValueError(f"pair_plain_sum: n must be nonnegative, got {n}")
-    B = balancing
-    return sum(B(j) * B(n - j) for j in range(1, n))
+    B = terms(BALANCING, "u", n)
+    return sum(B[j] * B[n - j] for j in range(1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -192,25 +193,25 @@ _fold_lock = threading.Lock()
 
 @lru_cache(maxsize=None)
 def _binom_fold(params: SeqParams, which: str, r: int) -> list[int]:
-    # Registry of the grow-only fold levels; only _fold_levels appends to them.
+    # Registry of the grow-only fold levels r >= 2; only _fold_levels appends to them.
     return []
 
 
 def _fold_levels(params: SeqParams, which: str, r: int, n: int) -> list[int]:
     """Level r of the ``which``-sequence fold, grown to hold index n.
 
-    Level 1 is the sequence; level k is (level k-1) @ (level 1) with
-    (f @ g)_m = sum_j C(m,j) f_j g_{m-j}.  Levels grow bottom up and only by
-    appending, under a lock, so none is shorter than a level above it.
+    Level 1 is the sequence's own cached list (:func:`terms`); level k is
+    (level k-1) @ (level 1) with (f @ g)_m = sum_j C(m,j) f_j g_{m-j}.  Levels
+    grow bottom up and only by appending, under a lock, so none is shorter
+    than a level above it.
     """
+    base = level = terms(params, which, n)
+    if r == 1:
+        return base
     top = _binom_fold(params, which, r)
     if n < len(top):
         return top
-    term = u if which == "u" else v
     with _fold_lock:
-        base = level = _binom_fold(params, which, 1)
-        for m in range(len(base), n + 1):
-            base.append(term(params, m))
         for k in range(2, r + 1):
             prev, level = level, _binom_fold(params, which, k)
             for m in range(len(level), n + 1):
@@ -265,17 +266,16 @@ def rhs_general_alt(r: int, n: int) -> int:
         raise ValueError(f"rhs_general_alt: r must be >= 2, got {r}")
     if n < 3 * r - 5:
         raise ValueError(f"rhs_general_alt: n must be >= 3r-5 = {3 * r - 5}, got {n}")
-    total = Fraction(0)
+    total = 0
     for k in range(1, r):
-        term = Fraction(
+        term = (
             (n - 2 * k - r + 3)
             * binom(n - 2 * k + 1, r - k - 1)
             * binom(n - k - 2 * r + 3, k - 1)
-            * balancing(n - 2 * k - r + 3),
-            r - 1,
+            * balancing(n - 2 * k - r + 3)
         )
         total += term if k % 2 else -term
-    return as_integer(total)
+    return as_integer(Fraction(total, r - 1))
 
 
 def rhs_triple_alt(n: int) -> int:
@@ -332,8 +332,8 @@ def rhs_pair_plain(n: int) -> int:
     """sum_{m=0}^{floor((n-1)/2)} (n-2m-1) B_{n-2m-1}, valid for n >= 2."""
     if n < 2:
         raise ValueError(f"rhs_pair_plain: n must be >= 2, got {n}")
-    B = balancing
-    return sum((n - 2 * m - 1) * B(n - 2 * m - 1) for m in range((n - 1) // 2 + 1))
+    B = terms(BALANCING, "u", n)
+    return sum((n - 2 * m - 1) * B[n - 2 * m - 1] for m in range((n - 1) // 2 + 1))
 
 
 def rhs_general_plain(r: int, n: int) -> int:
@@ -346,16 +346,14 @@ def rhs_general_plain(r: int, n: int) -> int:
         raise ValueError(f"rhs_general_plain: r must be >= 2, got {r}")
     if n < r:
         raise ValueError(f"rhs_general_plain: n must be >= r = {r}, got {n}")
-    total = Fraction(0)
-    for m in range((n - r + 1) // 2 + 1):
-        total += Fraction(
-            binom(n - m - 1, r - 2)
-            * binom(m + r - 2, r - 2)
-            * (n - 2 * m - r + 1)
-            * balancing(n - 2 * m - r + 1),
-            r - 1,
-        )
-    return as_integer(total)
+    total = sum(
+        binom(n - m - 1, r - 2)
+        * binom(m + r - 2, r - 2)
+        * (n - 2 * m - r + 1)
+        * balancing(n - 2 * m - r + 1)
+        for m in range((n - r + 1) // 2 + 1)
+    )
+    return as_integer(Fraction(total, r - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -363,20 +361,16 @@ def rhs_general_plain(r: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _powers(base: int, n: int) -> list[int]:
-    # base^0 .. base^n with 0^0 = 1
-    out = [1]
-    for _ in range(n):
-        out.append(out[-1] * base)
-    return out
-
-
 def _weighted_binomial_sum(params: SeqParams, which: str, p: int, q: int, n: int) -> int:
-    # sum_k C(n,k) p^{n-k} q^k w_k over 0 <= k <= n, with 0^0 = 1; w is the fold's level 1
-    seq = _fold_levels(params, which, 1, n)
-    pw_p = _powers(p, n)
-    pw_q = _powers(q, n)
-    return sum(comb(n, k) * pw_p[n - k] * pw_q[k] * seq[k] for k in range(n + 1))
+    # sum_k C(n,k) p^{n-k} q^k w_k over 0 <= k <= n, with 0^0 = 1, in one Horner pass
+    # over k: c runs through C(n,k) exactly and qk through q^k
+    w = terms(params, which, n)
+    acc, c, qk = 0, 1, 1
+    for k in range(n + 1):
+        acc = acc * p + c * qk * w[k]
+        c = c * (n - k) // (k + 1)
+        qk *= q
+    return acc
 
 
 def rhs_multinom_u(params: SeqParams, r: int, n: int) -> int:

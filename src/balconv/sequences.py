@@ -27,6 +27,7 @@ __all__ = [
     "fibonacci",
     "lucas",
     "lucas_balancing",
+    "terms",
     "u",
     "v",
 ]
@@ -57,7 +58,7 @@ FIBONACCI = SeqParams(1, 1)
 
 
 class SeqCache:
-    """Grow-only table of u_n and v_n values for one parameter pair.
+    """Grow-only tables of u_n and v_n values for one parameter pair.
 
     Already-computed prefixes may be read concurrently; extension is
     serialized on a lock and only ever appends, so earlier entries never
@@ -66,25 +67,17 @@ class SeqCache:
 
     def __init__(self, params: SeqParams) -> None:
         self.params = params
-        self._u: list[int] = [0, 1]
-        self._v: list[int] = [2, params.a]
+        self._terms: dict[str, list[int]] = {"u": [0, 1], "v": [2, params.a]}
         self._lock = threading.Lock()
 
-    def u(self, n: int) -> int:
-        if n >= len(self._u):
-            self._extend(self._u, n)
-        return self._u[n]
-
-    def v(self, n: int) -> int:
-        if n >= len(self._v):
-            self._extend(self._v, n)
-        return self._v[n]
-
-    def _extend(self, values: list[int], n: int) -> None:
-        a, b = self.params.a, self.params.b
-        with self._lock:
-            while len(values) <= n:
-                values.append(a * values[-1] + b * values[-2])
+    def terms(self, which: str, n: int) -> list[int]:
+        values = self._terms[which]
+        if n >= len(values):
+            a, b = self.params.a, self.params.b
+            with self._lock:
+                while len(values) <= n:
+                    values.append(a * values[-1] + b * values[-2])
+        return values
 
 
 _caches: dict[SeqParams, SeqCache] = {}
@@ -103,14 +96,22 @@ def u(params: SeqParams, n: int) -> int:
     """n-th u-term: u_0 = 0, u_1 = 1, u_n = a*u_{n-1} + b*u_{n-2}."""
     if n < 0:
         raise ValueError(f"u: index must be nonnegative, got {n}")
-    return _cache_for(params).u(n)
+    return _cache_for(params).terms("u", n)[n]
 
 
 def v(params: SeqParams, n: int) -> int:
     """n-th v-term: v_0 = 2, v_1 = a, same recurrence as u."""
     if n < 0:
         raise ValueError(f"v: index must be nonnegative, got {n}")
-    return _cache_for(params).v(n)
+    return _cache_for(params).terms("v", n)[n]
+
+
+def terms(params: SeqParams, which: str, n: int) -> list[int]:
+    """The live grow-only list of ``which`` ("u" or "v") terms, grown to hold index n.
+
+    Later calls extend this same list in place; callers must only read it.
+    """
+    return _cache_for(params).terms(which, n)
 
 
 def balancing(n: int) -> int:

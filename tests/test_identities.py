@@ -2,7 +2,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -122,6 +122,22 @@ def test_pair_telescope_sum():
 def test_pair_plain_sum_is_two_fold_convolution():
     for n in range(40):
         assert pair_plain_sum(n) == conv_power(BALANCING, 2, n)
+
+
+def test_pair_sums_match_literal_per_term_formulas():
+    # the sums index the cached term list, growing it themselves from empty;
+    # here each term is one balancing() call
+    clear_caches()
+    got = {
+        n: (pair_telescope_sum(n), pair_plain_sum(n), rhs_pair_plain(n) if n >= 2 else None)
+        for n in range(81)
+    }
+    B = balancing
+    for n, (telescope, plain, closed) in got.items():
+        assert telescope == sum(B(j) * B(n - j + 1) - B(j - 1) * B(n - j) for j in range(1, n + 1))
+        assert plain == sum(B(j) * B(n - j) for j in range(1, n))
+        if n >= 2:
+            assert closed == sum((n - 2 * m - 1) * B(n - 2 * m - 1) for m in range((n - 1) // 2 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +338,20 @@ def test_binom_conv_rejects_bad_args():
         binom_conv_v(BALANCING, 2, -1)
     with pytest.raises(ValueError):
         binom_conv_c(0, 1)
+
+
+@pytest.mark.parametrize("params", [BALANCING, SeqParams(1, 2), SeqParams(-2, 3)], ids=str)
+def test_weighted_binomial_sum_matches_literal_formula(params):
+    # sum_k C(n,k) p^(n-k) q^k w_k with math.comb and ** (0**0 == 1), p or q negative or zero
+    clear_caches()
+    for which, term in (("u", u), ("v", v)):
+        for p in (-3, 0, 2):
+            for q in (-2, 0, 5):
+                for n in range(81):
+                    got = identities._weighted_binomial_sum(params, which, p, q, n)
+                    assert got == sum(
+                        comb(n, k) * p ** (n - k) * q**k * term(params, k) for k in range(n + 1)
+                    )
 
 
 def test_rhs_multinom_u_examples():

@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from balconv.identities import clear_caches
 from balconv.sequences import (
     BALANCING,
     FIBONACCI,
@@ -11,6 +15,7 @@ from balconv.sequences import (
     fibonacci,
     lucas,
     lucas_balancing,
+    terms,
     u,
     v,
 )
@@ -117,3 +122,56 @@ def test_cache_idempotence():
     second = [u(BALANCING, n) for n in range(40)]
     assert first == second
     assert u(BALANCING, 400) == u(BALANCING, 400)
+
+
+def _recurrence(params, first, second, count):
+    out = [first, second]
+    while len(out) < count:
+        out.append(params.a * out[-1] + params.b * out[-2])
+    return out
+
+
+def test_terms_returns_one_list_grown_in_place_out_of_order():
+    params = SeqParams(1, 2)
+    want = {"u": _recurrence(params, 0, 1, 77), "v": _recurrence(params, 2, 1, 77)}
+    clear_caches()
+    lists = {which: terms(params, which, 0) for which in "uv"}
+    assert lists["u"] is not lists["v"]
+    for n in (40, 3, 75, 0, 76):
+        for which, values in lists.items():
+            assert terms(params, which, n) is values
+            assert len(values) > n
+            assert values == want[which][: len(values)]
+    assert u(params, 76) is lists["u"][76] and v(params, 76) is lists["v"][76]
+
+
+def test_terms_grow_safely_from_four_threads():
+    params, n_max = SeqParams(3, 2), 400
+    want = {"u": _recurrence(params, 0, 1, n_max + 1), "v": _recurrence(params, 2, 3, n_max + 1)}
+    clear_caches()
+    start = threading.Barrier(4, timeout=60)
+    seen = [[] for _ in range(4)]
+
+    def grow(t):
+        start.wait()
+        for n in range(t, n_max + 1, 4):  # thread t asks n = t, t + 4, ...: interleaved growth
+            for which in "uv":
+                values = terms(params, which, n)
+                seen[t].append((which, values, n, values[n]))
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(thread.is_alive() for thread in threads)
+    final = {which: terms(params, which, n_max) for which in "uv"}
+    for which, values, n, value in (entry for part in seen for entry in part):
+        assert values is final[which] and value == want[which][n]
+    for which, values in final.items():
+        assert values[: n_max + 1] == want[which]

@@ -32,6 +32,8 @@ ARGVS = {
     "verify-general-u": ["verify", "--identity", "general-u", "--r", "4", "--a", "-2", "--b", "3", "--n-max", "30"],
     "series-check": ["series-check", "--r", "3", "--order", "20", "--format", "csv"],
     "table": ["table", "--identity", "general-alt", "--r", "4", "--n-max", "12"],
+    "verify-pair-plain": ["verify", "--identity", "pair-plain", "--n-max", "40"],
+    "table-pair-telescope": ["table", "--identity", "pair-telescope", "--n-max", "20", "--format", "json"],
 }
 
 
