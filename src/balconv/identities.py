@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import add, mul
 from typing import Callable, Iterator
 
 from . import combinatorics, sequences
@@ -89,9 +90,11 @@ PARAM_GRID: tuple[SeqParams, ...] = (
 
 
 def clear_caches() -> None:
-    """Drop every memoized value: series powers, folds, binomials and sequence tables."""
+    """Drop every memoized value: series powers, folds and their Pascal rows, binomials
+    and sequence tables."""
     for cached in (_ogf_power, _binom_fold, combinatorics.binom):
         cached.cache_clear()
+    _pascal_rows.clear()
     sequences._caches.clear()
 
 
@@ -190,6 +193,10 @@ def pair_plain_sum(n: int) -> int:
 
 _fold_lock = threading.Lock()
 
+#: (params, which) -> (m, [C(m, 0), ..., C(m, m)]): the Pascal row the fold of
+#: that key used last, carried to the next m; read and written under _fold_lock.
+_pascal_rows: dict[tuple[SeqParams, str], tuple[int, list[int]]] = {}
+
 
 @lru_cache(maxsize=None)
 def _binom_fold(params: SeqParams, which: str, r: int) -> list[int]:
@@ -202,21 +209,35 @@ def _fold_levels(params: SeqParams, which: str, r: int, n: int) -> list[int]:
 
     Level 1 is the sequence's own cached list (:func:`terms`); level k is
     (level k-1) @ (level 1) with (f @ g)_m = sum_j C(m,j) f_j g_{m-j}.  Levels
-    grow bottom up and only by appending, under a lock, so none is shorter
-    than a level above it.
+    grow only by appending, under a lock, so none is shorter than a level
+    above it.  Entry m is added to every level 2..r that lacks it before
+    entry m + 1 to any, as sum_j prev_j * (C(m,j) base_{m-j}), the bracket
+    shared by those levels.  C(m, .) is the key's carried Pascal row: reused
+    at its own m, advanced by one pass of additions to the next, and seeded
+    from :func:`math.comb` at any other m.
     """
-    base = level = terms(params, which, n)
+    base = terms(params, which, n)
     if r == 1:
         return base
     top = _binom_fold(params, which, r)
     if n < len(top):
         return top
     with _fold_lock:
-        for k in range(2, r + 1):
-            prev, level = level, _binom_fold(params, which, k)
-            for m in range(len(level), n + 1):
-                level.append(sum(comb(m, j) * prev[j] * base[m - j] for j in range(m + 1)))
-    return level
+        levels = [base] + [_binom_fold(params, which, k) for k in range(2, r + 1)]
+        carried, row = _pascal_rows.get((params, which), (None, []))
+        for m in range(len(levels[-1]), n + 1):
+            if m != carried:
+                if carried is not None and m == carried + 1:
+                    row = [1, *map(add, row, row[1:]), 1]
+                else:
+                    row = [comb(m, j) for j in range(m + 1)]
+                carried = m
+            weights = list(map(mul, row, base[m::-1]))
+            for prev, level in zip(levels, levels[1:]):
+                if len(level) == m:
+                    level.append(sum(map(mul, weights, prev)))
+        _pascal_rows[params, which] = carried, row
+    return levels[-1]
 
 
 def _binom_conv(name: str, params: SeqParams, which: str, r: int, n: int) -> int:

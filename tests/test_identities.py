@@ -331,6 +331,54 @@ def test_binom_fold_grows_safely_from_four_threads():
     assert {n: value for part in got for n, value in part.items()} == dict(enumerate(want))
 
 
+def _literal_comb_fold(seq, r, n):
+    # levels 1..r of the binomial fold of seq[:n + 1], one math.comb call per term
+    levels = [seq[: n + 1]]
+    for _ in range(r - 1):
+        prev = levels[-1]
+        levels.append(
+            [sum(comb(m, j) * prev[j] * seq[m - j] for j in range(m + 1)) for m in range(n + 1)]
+        )
+    return levels
+
+
+def test_binom_fold_carries_and_reseeds_its_pascal_row():
+    # each request continues the key's carried row (starts one past its m), reuses it
+    # (starts at its m) or reseeds it (a first call, a higher r catching up below the
+    # frontier, a lower r)
+    other = SeqParams(1, 2)
+    requests = [
+        (BALANCING, "u", 3, 70),  # first call: seeds at m = 0
+        (BALANCING, "u", 3, 140),  # continues at 71, crossing 128
+        (BALANCING, "v", 4, 65),  # same params, other sequence: its own row
+        (BALANCING, "u", 5, 100),  # higher r catching up from 0, below the frontier 140
+        (BALANCING, "u", 2, 150),  # lower r: starts at 141, the row is at 100
+        (BALANCING, "v", 4, 66),  # continues at 66
+        (other, "u", 4, 63),
+        (BALANCING, "u", 5, 129),  # starts at 101, the row is at 150
+        (other, "u", 2, 130),  # lower r crossing 64 and 128
+        (other, "u", 4, 64),  # starts at 64, the row is at 130
+        (BALANCING, "u", 5, 130),  # continues at 130
+        (BALANCING, "v", 2, 129),  # lower r, continues at 67
+        (other, "u", 3, 130),  # continues at 65 after the lower r reseeded at 64
+        (other, "u", 2, 131),  # continues at 131
+        (other, "u", 3, 133),  # starts at 131, the m of the carried row: reused as is
+    ]
+    want = {}
+    for params, which, _, _ in requests:
+        if (params, which) not in want:
+            seq = sequences.terms(params, which, 150)
+            want[params, which] = _literal_comb_fold(seq, 5, 150)
+    clear_caches()
+    for params, which, r, n in requests:
+        got = identities._fold_levels(params, which, r, n)
+        for k in range(1, r + 1):
+            level = identities._fold_levels(params, which, k, n)
+            assert level[: n + 1] == want[params, which][k - 1][: n + 1], (params, which, r, n, k)
+        assert got[n] == want[params, which][r - 1][n]
+        assert identities._pascal_rows[params, which] == (n, [comb(n, j) for j in range(n + 1)])
+
+
 def test_binom_conv_rejects_bad_args():
     with pytest.raises(ValueError):
         binom_conv_u(BALANCING, 0, 3)
@@ -541,11 +589,15 @@ def test_clear_caches_drops_every_memo():
     conv_power(BALANCING, 3, 10)
     binom_conv_v(FIBONACCI, 2, 5)
     binom(9, 4)
+    assert identities._pascal_rows
     clear_caches()
     assert binom.cache_info().currsize == 0
     assert identities._binom_fold.cache_info().currsize == 0
+    assert not identities._pascal_rows
     assert not sequences._caches
     assert conv_power(BALANCING, 3, 10) == rhs_general_plain(3, 10)
+    assert binom_conv_v(FIBONACCI, 2, 5) == rhs_multinom_v(FIBONACCI, 2, 5)
+    assert binom_conv_v(FIBONACCI, 3, 70) == rhs_multinom_v(FIBONACCI, 3, 70)
 
 
 def test_failure_is_value_object():

@@ -34,6 +34,7 @@ ARGVS = {
     "table": ["table", "--identity", "general-alt", "--r", "4", "--n-max", "12"],
     "verify-pair-plain": ["verify", "--identity", "pair-plain", "--n-max", "40"],
     "table-pair-telescope": ["table", "--identity", "pair-telescope", "--n-max", "20", "--format", "json"],
+    "verify-general-v-r5": ["verify", "--identity", "general-v", "--r", "5", "--a", "4", "--b", "-3", "--n-max", "40"],
 }
 
 
