@@ -18,14 +18,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .combinatorics import IntegralityError, unlimited_int_digits
+from .combinatorics import IntegralityError, as_integer, unlimited_int_digits
 from .identities import (
     CATALOG,
     IdentityId,
-    binom_conv_c,
+    binom_conv_c,  # no caller here, but perfbench/tracer.py wraps it by this name
     binom_conv_u,
     binom_conv_v,
     clamp_to_domain,
@@ -35,18 +36,27 @@ from .identities import (
     resolve_identity_args,
     verify_identity,
 )
-from .sequences import BALANCING, FIBONACCI, SeqParams, lucas_balancing, u, v
+from .sequences import (
+    BALANCING,
+    FIBONACCI,
+    SeqParams,
+    lucas_balancing,  # no caller here, but perfbench/tracer.py wraps it by this name
+    u,
+    v,
+)
 from .series import verify_ogf_square_relation, verify_power_expansion
 
 __all__ = ["main", "run"]
 
 _FORMATS = ("plain", "csv", "json")
 
+#: kind -> (params, "u" | "v", divisor): the kind's terms are the u- or v-terms
+#: at params divided exactly by divisor (Lucas-balancing C_n = v_n / 2).
 _NAMED_KINDS = {
-    "balancing": (BALANCING, "u"),
-    "lucas-balancing": (BALANCING, "c"),
-    "fibonacci": (FIBONACCI, "u"),
-    "lucas": (FIBONACCI, "v"),
+    "balancing": (BALANCING, "u", 1),
+    "lucas-balancing": (BALANCING, "v", 2),
+    "fibonacci": (FIBONACCI, "u", 1),
+    "lucas": (FIBONACCI, "v", 1),
 }
 
 
@@ -84,23 +94,15 @@ def _write(
         Path(args.output).write_text(text, encoding="utf-8")
 
 
-def _kind_spec(args: argparse.Namespace) -> tuple[SeqParams, str]:
-    """Map --kind/--a/--b to (params, sequence selector u/v/c)."""
+def _kind_spec(args: argparse.Namespace) -> tuple[SeqParams, str, int]:
+    """Map --kind/--a/--b to (params, "u" or "v", divisor) as in :data:`_NAMED_KINDS`."""
     if args.kind in ("u", "v"):
         if args.a is None or args.b is None:
             raise ValueError("--kind u/v requires both --a and --b")
-        return SeqParams(args.a, args.b), args.kind
+        return SeqParams(args.a, args.b), args.kind, 1
     if args.a is not None or args.b is not None:
         raise ValueError("--a/--b apply only to --kind u or v")
     return _NAMED_KINDS[args.kind]
-
-
-def _term(params: SeqParams, which: str, n: int) -> int:
-    if which == "u":
-        return u(params, n)
-    if which == "v":
-        return v(params, n)
-    return lucas_balancing(n)
 
 
 def _params_dict(params: SeqParams) -> dict:
@@ -124,8 +126,9 @@ def _identity_args(args: argparse.Namespace) -> tuple[IdentityId, SeqParams, int
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
-    params, which = _kind_spec(args)
-    values = [_term(params, which, n) for n in range(args.to + 1)]
+    params, which, divisor = _kind_spec(args)
+    term = u if which == "u" else v
+    values = [as_integer(Fraction(term(params, n), divisor)) for n in range(args.to + 1)]
     _write(
         args,
         [values],
@@ -140,21 +143,18 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 
 def _cmd_conv(args: argparse.Namespace) -> int:
-    params, which = _kind_spec(args)
+    params, which, divisor = _kind_spec(args)
     if args.binomial:
-        if which == "u":
-            value = binom_conv_u(params, args.r, args.n)
-        elif which == "v":
-            value = binom_conv_v(params, args.r, args.n)
-        else:
-            value = binom_conv_c(args.r, args.n)
-    else:
-        if which != "u":
-            raise ValueError(
-                "plain convolutions are defined for u-type kinds; "
-                "use --binomial for lucas / lucas-balancing / v kinds"
-            )
+        fold = binom_conv_u if which == "u" else binom_conv_v
+        value = fold(params, args.r, args.n)
+    elif which == "u":
         value = conv_power(params, args.r, args.n)
+    else:
+        raise ValueError(
+            "plain convolutions are defined for u-type kinds; "
+            "use --binomial for lucas / lucas-balancing / v kinds"
+        )
+    value = as_integer(Fraction(value, divisor**args.r))
     _write(
         args,
         [("r", "n", "value"), (args.r, args.n, value)],

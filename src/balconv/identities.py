@@ -95,7 +95,7 @@ def clear_caches() -> None:
     for cached in (_ogf_power, _binom_fold, combinatorics.binom):
         cached.cache_clear()
     _pascal_rows.clear()
-    sequences._caches.clear()
+    sequences._tables.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +394,20 @@ def _weighted_binomial_sum(params: SeqParams, which: str, p: int, q: int, n: int
     return acc
 
 
+def _multinom_sum(params: SeqParams, which: str, sign: int, r: int, n: int) -> int:
+    # sum_{j < r/2} sign^j C(r,j) W(aj, r-2j), plus sign^{r/2} C(r, r/2) (ar/2)^n for even r,
+    # with W the ``which``-weighted _weighted_binomial_sum: the j-sum both general-u/v
+    # closed forms share
+    a, half = params.a, r // 2
+    total = sum(
+        sign**j * binom(r, j) * _weighted_binomial_sum(params, which, a * j, r - 2 * j, n)
+        for j in range((r + 1) // 2)
+    )
+    if r % 2 == 0:
+        total += sign**half * binom(r, half) * (a * half) ** n
+    return total
+
+
 def rhs_multinom_u(params: SeqParams, r: int, n: int) -> int:
     """Closed form for :func:`binom_conv_u`, split on the parity of r.
 
@@ -408,21 +422,8 @@ def rhs_multinom_u(params: SeqParams, r: int, n: int) -> int:
         raise ValueError(f"rhs_multinom_u: r must be >= 1, got {r}")
     if n < 0:
         raise ValueError(f"rhs_multinom_u: n must be nonnegative, got {n}")
-    a, disc = params.a, params.discriminant
-    if r % 2:
-        half = (r - 1) // 2
-        total = sum(
-            (-1) ** j * binom(r, j) * _weighted_binomial_sum(params, "u", a * j, r - 2 * j, n)
-            for j in range(half + 1)
-        )
-        return as_integer(Fraction(total, disc**half))
-    half = r // 2
-    total = sum(
-        (-1) ** j * binom(r, j) * _weighted_binomial_sum(params, "v", a * j, r - 2 * j, n)
-        for j in range(half)
-    )
-    total += (-1) ** half * binom(r, half) * (a * half) ** n
-    return as_integer(Fraction(total, disc**half))
+    total = _multinom_sum(params, "u" if r % 2 else "v", -1, r, n)
+    return as_integer(Fraction(total, params.discriminant ** (r // 2)))
 
 
 def rhs_multinom_v(params: SeqParams, r: int, n: int) -> int:
@@ -432,19 +433,7 @@ def rhs_multinom_v(params: SeqParams, r: int, n: int) -> int:
         raise ValueError(f"rhs_multinom_v: r must be >= 1, got {r}")
     if n < 0:
         raise ValueError(f"rhs_multinom_v: n must be nonnegative, got {n}")
-    a = params.a
-    if r % 2:
-        half = (r - 1) // 2
-        return sum(
-            binom(r, j) * _weighted_binomial_sum(params, "v", a * j, r - 2 * j, n)
-            for j in range(half + 1)
-        )
-    half = r // 2
-    total = sum(
-        binom(r, j) * _weighted_binomial_sum(params, "v", a * j, r - 2 * j, n)
-        for j in range(half)
-    )
-    return total + binom(r, half) * (a * half) ** n
+    return _multinom_sum(params, "v", 1, r, n)
 
 
 def rhs_binom_pair_b(n: int) -> int:

@@ -7,7 +7,7 @@ recurrence w_n = a*w_{n-1} + b*w_{n-2}:
     v: v_0 = 2, v_1 = a        (Lucas numbers at (1, 1))
 
 Lucas-balancing numbers are v_n / 2 at (6, -1); the halving is always exact.
-Values are memoized per parameter pair in grow-only caches.
+Values are memoized in one grow-only list per (parameter pair, u or v).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .combinatorics import IntegralityError
 __all__ = [
     "BALANCING",
     "FIBONACCI",
-    "SeqCache",
     "SeqParams",
     "balancing",
     "check_cross_recurrence",
@@ -57,53 +56,25 @@ BALANCING = SeqParams(6, -1)
 FIBONACCI = SeqParams(1, 1)
 
 
-class SeqCache:
-    """Grow-only tables of u_n and v_n values for one parameter pair.
-
-    Already-computed prefixes may be read concurrently; extension is
-    serialized on a lock and only ever appends, so earlier entries never
-    change.
-    """
-
-    def __init__(self, params: SeqParams) -> None:
-        self.params = params
-        self._terms: dict[str, list[int]] = {"u": [0, 1], "v": [2, params.a]}
-        self._lock = threading.Lock()
-
-    def terms(self, which: str, n: int) -> list[int]:
-        values = self._terms[which]
-        if n >= len(values):
-            a, b = self.params.a, self.params.b
-            with self._lock:
-                while len(values) <= n:
-                    values.append(a * values[-1] + b * values[-2])
-        return values
-
-
-_caches: dict[SeqParams, SeqCache] = {}
-_registry_lock = threading.Lock()
-
-
-def _cache_for(params: SeqParams) -> SeqCache:
-    try:
-        return _caches[params]
-    except KeyError:
-        with _registry_lock:
-            return _caches.setdefault(params, SeqCache(params))
+#: (params, "u" | "v") -> that sequence's grow-only list of terms.  Lists are
+#: created and extended only under _lock and only ever appended to, so an entry,
+#: once there, never changes and may be read without the lock.
+_tables: dict[tuple[SeqParams, str], list[int]] = {}
+_lock = threading.Lock()
 
 
 def u(params: SeqParams, n: int) -> int:
     """n-th u-term: u_0 = 0, u_1 = 1, u_n = a*u_{n-1} + b*u_{n-2}."""
     if n < 0:
         raise ValueError(f"u: index must be nonnegative, got {n}")
-    return _cache_for(params).terms("u", n)[n]
+    return terms(params, "u", n)[n]
 
 
 def v(params: SeqParams, n: int) -> int:
     """n-th v-term: v_0 = 2, v_1 = a, same recurrence as u."""
     if n < 0:
         raise ValueError(f"v: index must be nonnegative, got {n}")
-    return _cache_for(params).terms("v", n)[n]
+    return terms(params, "v", n)[n]
 
 
 def terms(params: SeqParams, which: str, n: int) -> list[int]:
@@ -111,7 +82,14 @@ def terms(params: SeqParams, which: str, n: int) -> list[int]:
 
     Later calls extend this same list in place; callers must only read it.
     """
-    return _cache_for(params).terms(which, n)
+    values = _tables.get((params, which))
+    if values is None or n >= len(values):
+        a, b = params.a, params.b
+        with _lock:
+            values = _tables.setdefault((params, which), {"u": [0, 1], "v": [2, a]}[which])
+            while len(values) <= n:
+                values.append(a * values[-1] + b * values[-2])
+    return values
 
 
 def balancing(n: int) -> int:

@@ -123,9 +123,6 @@ class Series:
         m = min(self.order, other.order)
         return Series([self._coeffs[i] - other._coeffs[i] for i in range(m + 1)])
 
-    def __neg__(self) -> Series:
-        return Series([-c for c in self._coeffs])
-
     def __mul__(self, other: Series) -> Series:
         """Cauchy product, truncated where an unknown tail could first intrude.
 

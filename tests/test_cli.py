@@ -11,11 +11,14 @@ from balconv.combinatorics import unlimited_int_digits
 from balconv.identities import (
     CATALOG,
     IdentityId,
+    binom_conv_c,
+    binom_conv_u,
+    binom_conv_v,
     report_from_dict,
     resolve_identity_args,
     verify_identity,
 )
-from balconv.sequences import balancing
+from balconv.sequences import BALANCING, FIBONACCI, balancing, fibonacci, lucas, lucas_balancing
 
 #: stdout and exit code of every subcommand in every format, pinned byte for byte.
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"))
@@ -125,6 +128,30 @@ def test_conv_plain_and_binomial():
         ["conv", "--kind", "lucas-balancing", "--r", "2", "--n", "1", "--binomial", "--format", "json"]
     )
     assert code == 0 and json.loads(out)["value"] == "6"
+
+
+#: named kind -> (params, binomial fold of its u- or v-terms, divisor, its own sequence)
+NAMED_KINDS = {
+    "balancing": (BALANCING, binom_conv_u, 1, balancing),
+    "lucas-balancing": (BALANCING, binom_conv_v, 2, lucas_balancing),
+    "fibonacci": (FIBONACCI, binom_conv_u, 1, fibonacci),
+    "lucas": (FIBONACCI, binom_conv_v, 1, lucas),
+}
+
+
+@pytest.mark.parametrize("kind", NAMED_KINDS)
+def test_named_kind_is_u_or_v_over_its_divisor(kind):
+    params, fold, divisor, term = NAMED_KINDS[kind]
+    code, out, _ = invoke(["seq", "--kind", kind, "--to", "40", "--format", "csv"])
+    assert code == 0 and out == ",".join(str(term(n)) for n in range(41)) + "\n"
+    for r in range(1, 6):
+        for n in (0, 1, 7, 30):
+            code, out, _ = invoke(["conv", "--kind", kind, "--r", str(r), "--n", str(n), "--binomial"])
+            quotient, rem = divmod(fold(params, r, n), divisor**r)
+            assert rem == 0
+            assert code == 0 and out == f"{quotient}\n"
+            if kind == "lucas-balancing":
+                assert quotient == binom_conv_c(r, n)
 
 
 def test_closed_command():

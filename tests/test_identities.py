@@ -589,12 +589,14 @@ def test_clear_caches_drops_every_memo():
     conv_power(BALANCING, 3, 10)
     binom_conv_v(FIBONACCI, 2, 5)
     binom(9, 4)
-    assert identities._pascal_rows
+    assert identities._pascal_rows and sequences._tables
+    assert identities._ogf_power.cache_info().currsize > 0
     clear_caches()
     assert binom.cache_info().currsize == 0
+    assert identities._ogf_power.cache_info().currsize == 0
     assert identities._binom_fold.cache_info().currsize == 0
     assert not identities._pascal_rows
-    assert not sequences._caches
+    assert not sequences._tables
     assert conv_power(BALANCING, 3, 10) == rhs_general_plain(3, 10)
     assert binom_conv_v(FIBONACCI, 2, 5) == rhs_multinom_v(FIBONACCI, 2, 5)
     assert binom_conv_v(FIBONACCI, 3, 70) == rhs_multinom_v(FIBONACCI, 3, 70)
