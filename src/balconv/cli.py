@@ -6,11 +6,11 @@ report mismatches), ``series-check`` (exact power-series checks), ``table``
 (side-by-side LHS/RHS columns).
 
 Exit codes: 0 success / all checks pass, 1 verification found mismatches
-(report still emitted), 2 usage or domain error, an unwritable ``--output``,
-or an r too large for the OGF-power table, the one oracle table that still
-recurses (once per factor).  All integers in machine
-output are decimal strings; they outgrow 64-bit types quickly, so CPython's
-int/str digit limit is lifted while :func:`run` executes.
+(report still emitted), 2 usage or domain error or an unwritable
+``--output``.  A large r or n only makes a run slower: no oracle table
+recurses.  All integers in machine output are decimal strings; they outgrow
+64-bit types quickly, so CPython's int/str digit limit is lifted while
+:func:`run` executes.
 """
 
 from __future__ import annotations
@@ -342,14 +342,6 @@ def run(argv: Sequence[str]) -> int:
         return args.func(args)
     except (ValueError, IntegralityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # Only the OGF-power table recurses this deep, and every command that builds one has --r.
-        print(
-            f"error: r = {args.r} is too large: the OGF-power table recurses once per factor "
-            f"(recursion limit {sys.getrecursionlimit()})",
-            file=sys.stderr,
-        )
         return 2
 
 

@@ -90,7 +90,7 @@ PARAM_GRID: tuple[SeqParams, ...] = (
 
 
 def clear_caches() -> None:
-    """Drop every memoized value: series powers, folds and their Pascal rows, binomials
+    """Drop every memoized value: OGF power lists, folds and their Pascal rows, binomials
     and sequence tables."""
     for cached in (_ogf_power, _binom_fold, combinatorics.binom):
         cached.cache_clear()
@@ -103,16 +103,18 @@ def clear_caches() -> None:
 # ---------------------------------------------------------------------------
 
 
+_table_lock = threading.Lock()
+
+
 def _padded_order(n: int) -> int:
-    # Round requests up so sweeps share one cached power per (params, r).
+    # Round requests up so sweeps share one power list per (params, order).
     return max(64, -(-(n + 1) // 64) * 64)
 
 
 @lru_cache(maxsize=None)
-def _ogf_power(params: SeqParams, r: int, order: int) -> Series:
-    if r == 1:
-        return ogf(params, order)
-    return _ogf_power(params, r - 1, order) * _ogf_power(params, 1, order)
+def _ogf_power(params: SeqParams, order: int) -> list[Series]:
+    # Registry of the grow-only power lists [f, f^2, ...]; only conv_power appends to them.
+    return [ogf(params, order)]
 
 
 def conv_power(params: SeqParams, r: int, n: int) -> int:
@@ -120,6 +122,9 @@ def conv_power(params: SeqParams, r: int, n: int) -> int:
 
     Read off as coefficient n of the r-th power of the OGF; u_0 = 0 makes
     "positive parts" automatic.  Zero whenever n < r (empty composition set).
+    The powers of one (params, order) form one list that grows only by
+    appending f^k = f^(k-1) * f, under a lock, so any r costs r - 1 products
+    once per process and no recursion.
     """
     if r < 1:
         raise ValueError(f"conv_power: r must be >= 1, got {r}")
@@ -127,7 +132,12 @@ def conv_power(params: SeqParams, r: int, n: int) -> int:
         raise ValueError(f"conv_power: n must be nonnegative, got {n}")
     if n < r:
         return 0
-    return as_integer(_ogf_power(params, r, _padded_order(n)).coefficient(n))
+    powers = _ogf_power(params, _padded_order(n))
+    if len(powers) < r:
+        with _table_lock:
+            while len(powers) < r:
+                powers.append(powers[-1] * powers[0])
+    return as_integer(powers[r - 1].coefficient(n))
 
 
 def conv_power_by_enumeration(params: SeqParams, r: int, n: int) -> int:
@@ -191,10 +201,8 @@ def pair_plain_sum(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-_fold_lock = threading.Lock()
-
 #: (params, which) -> (m, [C(m, 0), ..., C(m, m)]): the Pascal row the fold of
-#: that key used last, carried to the next m; read and written under _fold_lock.
+#: that key used last, carried to the next m; read and written under _table_lock.
 _pascal_rows: dict[tuple[SeqParams, str], tuple[int, list[int]]] = {}
 
 
@@ -222,7 +230,7 @@ def _fold_levels(params: SeqParams, which: str, r: int, n: int) -> list[int]:
     top = _binom_fold(params, which, r)
     if n < len(top):
         return top
-    with _fold_lock:
+    with _table_lock:
         levels = [base] + [_binom_fold(params, which, k) for k in range(2, r + 1)]
         carried, row = _pascal_rows.get((params, which), (None, []))
         for m in range(len(levels[-1]), n + 1):

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -315,11 +317,22 @@ def test_unwritable_output_exits_2(tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_recursion_depth_of_large_r_exits_2():
-    # the OGF-power table recurses once per factor
-    code, out, err = invoke(["conv", "--r", "1200", "--n", "1300"])
-    assert code == 2 and out == ""
-    assert err.startswith("error: r = 1200 ") and "Traceback" not in err
+def test_plain_conv_of_large_r_needs_no_recursion():
+    # the OGF powers grow as one list, so r = 120 answers under a recursion limit of 100
+    script = (
+        "import sys\n"
+        "from balconv.cli import run\n"
+        "sys.setrecursionlimit(100)\n"
+        "sys.exit(run(['conv', '--r', '120', '--n', '127']))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    old = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + old if old else "")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    closed = invoke(["closed", "--identity", "general-plain", "--r", "120", "--n", "127"])
+    assert closed == (0, proc.stdout, "")
+    assert proc.stdout.strip() == "23416989202260720"
 
 
 def test_binomial_conv_of_large_r_needs_no_recursion():

@@ -305,17 +305,33 @@ def test_binom_fold_grows_in_place_out_of_order():
         assert sides(r, n) == grown[r, n]
 
 
-def test_binom_fold_grows_safely_from_four_threads():
-    params, r, n_max = SeqParams(1, 2), 4, 27
-    want = [_binom_conv_by_enumeration(lambda k: u(params, k), r, n, 1) for n in range(n_max + 1)]
+#: oracle -> (its value at one key, the keys thread t asks, an independent value at one key)
+THREADED_ORACLES = {
+    "fold": (  # key n, thread t asks n = t, t + 4, ...: interleaved growth of four levels
+        lambda n: binom_conv_u(SeqParams(1, 2), 4, n),
+        lambda t: range(t, 28, 4),
+        lambda n: _binom_conv_by_enumeration(lambda k: u(SeqParams(1, 2), k), 4, n, 1),
+    ),
+    "power": (  # key r, thread t asks r = 2 + t, 6 + t, 10 + t: interleaved growth of one list
+        lambda r: conv_power(BALANCING, r, 60),
+        lambda t: (2 + t, 6 + t, 10 + t),
+        lambda r: rhs_general_plain(r, 60),
+    ),
+}
+
+
+@pytest.mark.parametrize("oracle", THREADED_ORACLES)
+def test_oracle_table_grows_safely_from_four_threads(oracle):
+    ask, keys_of, independent = THREADED_ORACLES[oracle]
+    want = {key: independent(key) for t in range(4) for key in keys_of(t)}
     clear_caches()
     start = threading.Barrier(4, timeout=60)
     got = [{} for _ in range(4)]
 
     def grow(t):
         start.wait()
-        for n in range(t, n_max + 1, 4):  # thread t asks n = t, t + 4, ...: interleaved growth
-            got[t][n] = binom_conv_u(params, r, n)
+        for key in keys_of(t):
+            got[t][key] = ask(key)
 
     saved = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -328,7 +344,7 @@ def test_binom_fold_grows_safely_from_four_threads():
     finally:
         sys.setswitchinterval(saved)
     assert not any(thread.is_alive() for thread in threads)
-    assert {n: value for part in got for n, value in part.items()} == dict(enumerate(want))
+    assert {key: value for part in got for key, value in part.items()} == want
 
 
 def _literal_comb_fold(seq, r, n):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from balconv.identities import conv_power, conv_power_by_enumeration, rhs_general_plain
-from balconv.sequences import BALANCING, FIBONACCI, SeqParams, u
+from balconv.identities import clear_caches, conv_power, conv_power_by_enumeration, rhs_general_plain
+from balconv.sequences import BALANCING, FIBONACCI, SeqParams, balancing, u
 from balconv.series import (
     Series,
     geom_even_pow,
@@ -157,9 +157,14 @@ def test_mul_matches_literal_fraction_double_loop(f, g):
 
 @pytest.mark.parametrize("r", range(2, 7))
 def test_conv_power_matches_closed_form_across_table_blocks(r):
-    # n straddles the 64-coefficient blocks the OGF-power tables are built in
-    for n in (63, 64, 65, 127, 128, 129):
-        assert conv_power(BALANCING, r, n) == rhs_general_plain(r, n)
+    # n straddles the 64-coefficient blocks the OGF power lists are kept in; from
+    # empty lists, r..1 descending grows each list to r at once and 1..6
+    # ascending then reads it and grows it one power at a time
+    clear_caches()
+    for k in (*range(r, 0, -1), *range(1, 7)):
+        for n in (63, 64, 65, 127, 128, 129):
+            want = balancing(n) if k == 1 else rhs_general_plain(k, n)  # r = 1 is f itself
+            assert conv_power(BALANCING, k, n) == want
 
 
 @given(series_st, series_st)

@@ -20,8 +20,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 #: Test id -> argv.  The halved Lucas-balancing fold, the fold level that
-#: general-u's closed form shares with its oracle, and an OGF power built in
-#: the order-128 table run under the tracer too.
+#: general-u's closed form shares with its oracle, an OGF power built in the
+#: order-128 list, and a sweep across a 64-block (two power lists in one
+#: process) run under the tracer too.
 ARGVS = {
     "seq": ["seq", "--kind", "lucas-balancing", "--to", "6"],
     "conv": ["conv", "--kind", "v", "--a", "1", "--b", "2", "--r", "3", "--n", "9", "--binomial"],
@@ -35,6 +36,7 @@ ARGVS = {
     "verify-pair-plain": ["verify", "--identity", "pair-plain", "--n-max", "40"],
     "table-pair-telescope": ["table", "--identity", "pair-telescope", "--n-max", "20", "--format", "json"],
     "verify-general-v-r5": ["verify", "--identity", "general-v", "--r", "5", "--a", "4", "--b", "-3", "--n-max", "40"],
+    "verify-general-plain-blocks": ["verify", "--identity", "general-plain", "--r", "3", "--n-min", "60", "--n-max", "70"],
 }
 
 
