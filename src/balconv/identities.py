@@ -123,8 +123,8 @@ def conv_power(params: SeqParams, r: int, n: int) -> int:
     Read off as coefficient n of the r-th power of the OGF; u_0 = 0 makes
     "positive parts" automatic.  Zero whenever n < r (empty composition set).
     The powers of one (params, order) form one list that grows only by
-    appending f^k = f^(k-1) * f, under a lock, so any r costs r - 1 products
-    once per process and no recursion.
+    appending f^k = f^(k-1) * f, under a lock, so each power is made once per
+    process, at any r, without recursion.
     """
     if r < 1:
         raise ValueError(f"conv_power: r must be >= 1, got {r}")
