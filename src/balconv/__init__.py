@@ -4,7 +4,7 @@ Generates balancing, Lucas-balancing, Fibonacci, Lucas, and general
 second-order (u, v) pairs; evaluates plain, alternating, and
 binomial-weighted convolutions both by brute force and in closed form; and
 verifies every catalogued identity bit-exactly over finite ranges, backed by
-a truncated formal-power-series engine over exact rationals.
+a truncated formal-power-series engine over exact integers.
 
 The names below are the documented surface; everything else is importable
 from its submodule.

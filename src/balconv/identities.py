@@ -123,8 +123,8 @@ def conv_power(params: SeqParams, r: int, n: int) -> int:
     Read off as coefficient n of the r-th power of the OGF; u_0 = 0 makes
     "positive parts" automatic.  Zero whenever n < r (empty composition set).
     The powers of one (params, order) form one list that grows only by
-    appending f^k = f^(k-1) * f, under a lock, so each power is made once per
-    process, at any r, without recursion.
+    appending f^k = f^(k-1) * f, truncated to the list's order, under a lock,
+    so each power is made once per process, at any r, without recursion.
     """
     if r < 1:
         raise ValueError(f"conv_power: r must be >= 1, got {r}")
@@ -136,8 +136,9 @@ def conv_power(params: SeqParams, r: int, n: int) -> int:
     if len(powers) < r:
         with _table_lock:
             while len(powers) < r:
-                powers.append(powers[-1] * powers[0])
-    return as_integer(powers[r - 1].coefficient(n))
+                product = powers[-1] * powers[0]
+                powers.append(Series(product.coeffs, order=powers[0].order))
+    return powers[r - 1].coefficient(n)
 
 
 def conv_power_by_enumeration(params: SeqParams, r: int, n: int) -> int:

@@ -1,4 +1,4 @@
-"""Truncated formal power series over exact rationals.
+"""Truncated formal power series with integer coefficients.
 
 A :class:`Series` stores coefficients for x^0 .. x^order and nothing beyond;
 the tail is *unknown*, not zero.  Truncation bookkeeping is therefore
@@ -12,21 +12,18 @@ conservative:
 * the k-th derivative lowers it by k,
 * ``agrees_with`` compares only the common trusted prefix.
 
-Coefficients are always exact ``Fraction``s.  A Cauchy product nonetheless
-does no rational arithmetic in its O(m^2) loop: it scales each factor's
-coefficients to integers over one common denominator, multiplies integers,
-and divides once per output coefficient.
+Every series the identities build has integer coefficients, so a
+coefficient is a plain ``int`` and a Cauchy product multiplies ints.
 
 Division by (1 - x^2)^k never goes through general series inversion: the
-expansion is written down directly by :func:`geom_even_pow`, which keeps
-every coefficient a manifest small-denominator rational.
+expansion is written down directly by :func:`geom_even_pow`, whose
+coefficients are binomials.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial, lcm
-from typing import Iterable, Union
+from math import factorial
+from typing import Iterable
 
 from .combinatorics import binom
 from .sequences import BALANCING, SeqParams
@@ -39,27 +36,24 @@ __all__ = [
     "verify_power_expansion",
 ]
 
-CoeffLike = Union[int, Fraction]
-
 
 class Series:
-    """Immutable truncated power series with exact Fraction coefficients.
+    """Immutable truncated power series with integer coefficients.
 
     ``Series(coeffs)`` takes the order from the coefficient count;
     ``Series(coeffs, order=n)`` zero-pads or truncates to exactly n + 1
-    coefficients.  Ints are converted to ``Fraction`` here and Fractions kept
-    as given; products multiply integers over a common denominator.
+    coefficients.
     """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[CoeffLike], order: int | None = None) -> None:
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int], order: int | None = None) -> None:
+        cs = list(coeffs)
         if order is not None:
             if order < 0:
                 raise ValueError(f"Series: order must be nonnegative, got {order}")
             if len(cs) <= order:
-                cs.extend([Fraction(0)] * (order + 1 - len(cs)))
+                cs.extend([0] * (order + 1 - len(cs)))
             else:
                 del cs[order + 1 :]
         elif not cs:
@@ -72,10 +66,10 @@ class Series:
         return len(self._coeffs) - 1
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
 
-    def coefficient(self, n: int) -> Fraction:
+    def coefficient(self, n: int) -> int:
         """Coefficient of x^n; n beyond the truncation order is an error."""
         if not 0 <= n <= self.order:
             raise ValueError(f"coefficient {n} outside trusted range 0..{self.order}")
@@ -124,17 +118,11 @@ class Series:
         return Series([self._coeffs[i] - other._coeffs[i] for i in range(m + 1)])
 
     def __mul__(self, other: Series) -> Series:
-        """Cauchy product, truncated where an unknown tail could first intrude.
-
-        Each factor's used prefix is scaled to integers by the lcm of its
-        denominators; each output coefficient is one Fraction over the
-        product of the two scales.
-        """
+        """Cauchy product, truncated where an unknown tail could first intrude."""
         if not isinstance(other, Series):
             return NotImplemented
         m = min(self.order + other.valuation(), other.order + self.valuation())
-        a, da = _over_common_denominator(self._coeffs[: m + 1])
-        b, db = _over_common_denominator(other._coeffs[: m + 1])
+        a, b = self._coeffs[: m + 1], other._coeffs[: m + 1]
         out = [0] * (m + 1)
         for i, ai in enumerate(a):
             if not ai:
@@ -143,19 +131,17 @@ class Series:
                 bj = b[j]
                 if bj:
                     out[i + j] += ai * bj
-        d = da * db
-        return Series([Fraction(c, d) for c in out])
+        return Series(out)
 
-    def scale(self, c: CoeffLike) -> Series:
-        """Multiply every coefficient by the exact scalar c."""
-        f = Fraction(c)
-        return Series([f * x for x in self._coeffs])
+    def scale(self, c: int) -> Series:
+        """Multiply every coefficient by the integer c."""
+        return Series([c * x for x in self._coeffs])
 
     def shift(self, s: int) -> Series:
         """Multiply by x^s; the trusted order grows by s."""
         if s < 0:
             raise ValueError(f"shift: s must be nonnegative, got {s}")
-        return Series((Fraction(0),) * s + self._coeffs)
+        return Series((0,) * s + self._coeffs)
 
     def derivative(self, k: int = 1) -> Series:
         """k-th termwise derivative; the trusted order drops by k."""
@@ -174,19 +160,17 @@ class Series:
         return Series(out)
 
     def pow(self, r: int) -> Series:
-        """r-th power (r >= 0); the order stays that of the base."""
+        """r-th power (r >= 0).
+
+        The order is that of the base at r = 0 and 1; each further factor
+        adds the base's valuation, so f^r has order order(f) + (r - 1) val(f).
+        """
         if r < 0:
             raise ValueError(f"pow: r must be nonnegative, got {r}")
         result = Series([1], order=self.order)
         for _ in range(r):
             result = result * self
         return result
-
-
-def _over_common_denominator(cs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integers c_i * d and the lcm d of the denominators, so c_i = int_i / d."""
-    d = lcm(*(c.denominator for c in cs))
-    return [c.numerator * (d // c.denominator) for c in cs], d
 
 
 def ogf(params: SeqParams, order: int) -> Series:
@@ -214,21 +198,21 @@ def geom_even_pow(m: int, order: int) -> Series:
     """
     if order < 0:
         raise ValueError(f"geom_even_pow: order must be nonnegative, got {order}")
-    coeffs = [Fraction(0)] * (order + 1)
+    coeffs = [0] * (order + 1)
     if m >= 0:
         for i in range(min(m, order // 2) + 1):
-            coeffs[2 * i] = Fraction((-1) ** i * binom(m, i))
+            coeffs[2 * i] = (-1) ** i * binom(m, i)
     else:
         s = -m
         for i in range(order // 2 + 1):
-            coeffs[2 * i] = Fraction(binom(i + s - 1, s - 1))
+            coeffs[2 * i] = binom(i + s - 1, s - 1)
     return Series(coeffs)
 
 
 def verify_ogf_square_relation(order: int) -> bool:
     """Check (1 - x^2) f(x)^2 = x^2 f'(x) for the balancing OGF f, coefficientwise.
 
-    Exact rational computation; True means every coefficient matches on the
+    Exact integer computation; True means every coefficient matches on the
     common trusted prefix (here the full requested window).
     """
     if order < 2:
@@ -248,10 +232,11 @@ def verify_power_expansion(r: int, order: int) -> bool:
             + sum_{k=1}^{r-2} [ sum_{j=0}^{k-1} C(k,j) C(r-2,k-j-1) x^{2r-k+2j-2} ]
                               / (k (r-k-2)! (1-x^2)^{r+k-1}) * f^{(r-k-1)}
 
-    Every (1-x^2)^{-e} factor is expanded with :func:`geom_even_pow`, and
-    each term carries its own rational scale; denominators are never pooled
-    globally.  At r = 2 the k-sum is empty and this reduces to the squared
-    relation.
+    Every (1-x^2)^{-e} factor is expanded with :func:`geom_even_pow`.  Both
+    sides are multiplied through by (r-1)!, so every factor is an integer:
+    term k's scale (r-1)! / (k (r-k-2)!) is exact because (r-1)!/(r-k-2)! is
+    a product of k+1 consecutive integers, which (k+1)! divides.  At r = 2
+    the k-sum is empty and this reduces to the squared relation.
     """
     if r < 2:
         raise ValueError(f"verify_power_expansion: r must be >= 2, got {r}")
@@ -259,15 +244,11 @@ def verify_power_expansion(r: int, order: int) -> bool:
         # f^{(r-1)} needs r - 1 trusted coefficients beyond x^0
         raise ValueError(f"verify_power_expansion: order must be >= r - 1 = {r - 1}, got {order}")
     f = ogf(BALANCING, order)
-    lhs = f.pow(r)
-    rhs = (
-        (f.derivative(r - 1) * geom_even_pow(-(r - 1), order))
-        .shift(2 * r - 2)
-        .scale(Fraction(1, factorial(r - 1)))
-    )
+    lhs = f.pow(r).scale(factorial(r - 1))
+    rhs = (f.derivative(r - 1) * geom_even_pow(-(r - 1), order)).shift(2 * r - 2)
     for k in range(1, r - 1):
         base = f.derivative(r - k - 1) * geom_even_pow(-(r + k - 1), order)
-        scale_k = Fraction(1, k * factorial(r - k - 2))
+        scale_k = factorial(r - 1) // (k * factorial(r - k - 2))
         for j in range(k):
             weight = binom(k, j) * binom(r - 2, k - j - 1)
             rhs = rhs + base.shift(2 * r - k + 2 * j - 2).scale(scale_k * weight)

@@ -1,9 +1,8 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from balconv import identities
 from balconv.identities import clear_caches, conv_power, conv_power_by_enumeration, rhs_general_plain
 from balconv.sequences import BALANCING, FIBONACCI, SeqParams, balancing, u
 from balconv.series import (
@@ -14,7 +13,7 @@ from balconv.series import (
     verify_power_expansion,
 )
 
-coeff_st = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+coeff_st = st.integers(-10, 10)
 series_st = st.lists(coeff_st, min_size=1, max_size=8).map(Series)
 series2_st = st.lists(coeff_st, min_size=2, max_size=8).map(Series)
 # Leading zeros raise the valuation; all-zero operands push it past the order.
@@ -23,7 +22,7 @@ shifted_series_st = st.builds(
     st.integers(0, 3),
     st.one_of(
         st.lists(coeff_st, min_size=1, max_size=8),
-        st.lists(st.just(Fraction(0)), min_size=1, max_size=4),
+        st.lists(st.just(0), min_size=1, max_size=4),
     ),
 )
 
@@ -98,6 +97,9 @@ def test_pow():
     assert f.pow(2).coeffs == (1, 2, 1, 0)
     with pytest.raises(ValueError):
         f.pow(-1)
+    # order(f^r) = order(f) + (r - 1) val(f) for r >= 1; val = 1 here
+    b = ogf(BALANCING, 10)
+    assert [b.pow(r).order for r in range(6)] == [10, 10, 11, 12, 13, 14]
 
 
 def test_geom_even_pow_examples():
@@ -125,8 +127,8 @@ def test_ogf_coefficients_are_integral_sequence_values(params):
     f = ogf(params, 40)
     for n in range(41):
         c = f.coefficient(n)
-        assert c.denominator == 1
-        assert c.numerator == u(params, n)
+        assert type(c) is int
+        assert c == u(params, n)
 
 
 def test_series_pow_matches_composition_enumeration():
@@ -139,20 +141,20 @@ def test_series_pow_matches_composition_enumeration():
 
 
 @given(shifted_series_st, shifted_series_st)
-def test_mul_matches_literal_fraction_double_loop(f, g):
+def test_mul_matches_literal_integer_double_loop(f, g):
     def val(cs):
         return next((i for i, c in enumerate(cs) if c), len(cs))
 
     a, b = f.coeffs, g.coeffs
     m = min(len(a) - 1 + val(b), len(b) - 1 + val(a))
-    expected = [Fraction(0)] * (m + 1)
+    expected = [0] * (m + 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             if i + j <= m:
                 expected[i + j] += ai * bj
     product = f * g
     assert product.coeffs == tuple(expected)
-    assert all(type(c) is Fraction for c in product.coeffs)
+    assert all(type(c) is int for c in product.coeffs)
 
 
 @pytest.mark.parametrize("r", range(2, 7))
@@ -164,7 +166,18 @@ def test_conv_power_matches_closed_form_across_table_blocks(r):
     for k in (*range(r, 0, -1), *range(1, 7)):
         for n in (63, 64, 65, 127, 128, 129):
             want = balancing(n) if k == 1 else rhs_general_plain(k, n)  # r = 1 is f itself
-            assert conv_power(BALANCING, k, n) == want
+            got = conv_power(BALANCING, k, n)
+            assert type(got) is int
+            assert got == want
+
+
+def test_stored_ogf_powers_are_truncated_to_their_list_order():
+    # f^k * f is trusted one order past f^k; the list keeps only what n < 64 reads
+    clear_caches()
+    assert conv_power(BALANCING, 50, 60) == rhs_general_plain(50, 60)
+    powers = identities._ogf_power(BALANCING, 64)
+    assert len(powers) == 50
+    assert all(p.order == 64 for p in powers)
 
 
 @given(series_st, series_st)
@@ -206,7 +219,7 @@ def test_square_relation():
         verify_ogf_square_relation(1)
 
 
-@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("r", range(2, 9))
 def test_power_expansion(r):
     assert verify_power_expansion(r, 50)
 
@@ -222,5 +235,5 @@ def test_power_expansion_reduces_to_square_relation_at_r2():
 
 
 def test_scale():
-    s = Series([2, 4]).scale(Fraction(1, 2))
-    assert s.coeffs == (1, 2)
+    s = Series([2, -4, 0]).scale(-3)
+    assert s.coeffs == (-6, 12, 0)
