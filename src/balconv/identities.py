@@ -91,7 +91,7 @@ PARAM_GRID: tuple[SeqParams, ...] = (
 
 def clear_caches() -> None:
     """Drop every memoized value: OGF power lists, folds and their Pascal rows, binomials
-    and sequence tables."""
+    and sequence tables, including the derived-parameter tables."""
     for cached in (_ogf_power, _binom_fold, combinatorics.binom):
         cached.cache_clear()
     _pascal_rows.clear()
@@ -391,25 +391,22 @@ def rhs_general_plain(r: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_binomial_sum(params: SeqParams, which: str, p: int, q: int, n: int) -> int:
-    # sum_k C(n,k) p^{n-k} q^k w_k over 0 <= k <= n, with 0^0 = 1, in one Horner pass
-    # over k: c runs through C(n,k) exactly and qk through q^k
-    w = terms(params, which, n)
-    acc, c, qk = 0, 1, 1
-    for k in range(n + 1):
-        acc = acc * p + c * qk * w[k]
-        c = c * (n - k) // (k + 1)
-        qk *= q
-    return acc
+def _binomial_lucas(params: SeqParams, which: str, p: int, q: int, n: int) -> int:
+    # By Binet, sum_k C(n,k) p^{n-k} q^k w_k (0 <= k <= n) is q U_n(P, Q) for w = u and
+    # V_n(P, Q) for w = v, P = 2p + qa, Q = p^2 + pqa - q^2 b; discriminant q^2 (a^2 + 4b)
+    a, b = params.a, params.b
+    value = terms(SeqParams(2 * p + q * a, q * q * b - p * p - p * q * a), which, n)[n]
+    return q * value if which == "u" else value
 
 
 def _multinom_sum(params: SeqParams, which: str, sign: int, r: int, n: int) -> int:
-    # sum_{j < r/2} sign^j C(r,j) W(aj, r-2j), plus sign^{r/2} C(r, r/2) (ar/2)^n for even r,
-    # with W the ``which``-weighted _weighted_binomial_sum: the j-sum both general-u/v
-    # closed forms share
+    # sum_{j < r/2} sign^j C(r,j) W_j, plus sign^{r/2} C(r, r/2) (ar/2)^n for even r: the j-sum
+    # of both general-u/v closed forms.  W_j is _binomial_lucas at p = aj, q = r - 2j >= 1, a
+    # term of x^2 - ar x + a^2 j(r-j) - (r-2j)^2 b.  No helper is named rhs_*: the tracer
+    # times every rhs_* name here as a closed form, so one would be counted twice.
     a, half = params.a, r // 2
     total = sum(
-        sign**j * binom(r, j) * _weighted_binomial_sum(params, which, a * j, r - 2 * j, n)
+        sign**j * binom(r, j) * _binomial_lucas(params, which, a * j, r - 2 * j, n)
         for j in range((r + 1) // 2)
     )
     if r % 2 == 0:
@@ -425,6 +422,8 @@ def rhs_multinom_u(params: SeqParams, r: int, n: int) -> int:
     Even r:  the analogous v-weighted sum for j = 0 .. r/2 - 1, plus
              (-1)^{r/2} C(r, r/2) (ar/2)^n, divided by D^{r/2}.
 
+    Each inner k-sum is read as (r-2j) U_n or V_n from the sequence table of
+    the pair x^2 - ar x + a^2 j(r-j) - (r-2j)^2 b, not summed term by term.
     The division is asserted exact; r = 1 degenerates to u_n itself.
     """
     if r < 1:
@@ -463,7 +462,7 @@ def rhs_multinom_triple_b(n: int) -> int:
     """(3^n B_n - 3 sum_k C(n,k) 6^{n-k} B_k) / 32."""
     if n < 0:
         raise ValueError(f"rhs_multinom_triple_b: n must be nonnegative, got {n}")
-    mixed = _weighted_binomial_sum(BALANCING, "u", 6, 1, n)
+    mixed = _binomial_lucas(BALANCING, "u", 6, 1, n)
     return as_integer(Fraction(3**n * balancing(n) - 3 * mixed, 32))
 
 
@@ -472,7 +471,7 @@ def rhs_multinom_triple_c(n: int) -> int:
     if n < 0:
         raise ValueError(f"rhs_multinom_triple_c: n must be nonnegative, got {n}")
     # sum_k C(n,k) 6^{n-k} C_k is the v-weighted sum halved, since C_k = v_k / 2
-    mixed = as_integer(Fraction(_weighted_binomial_sum(BALANCING, "v", 6, 1, n), 2))
+    mixed = as_integer(Fraction(_binomial_lucas(BALANCING, "v", 6, 1, n), 2))
     return as_integer(Fraction(3**n * lucas_balancing(n) + 3 * mixed, 4))
 
 
@@ -505,7 +504,7 @@ def rhs_printed_balancing_even_b(r: int, n: int) -> Fraction:
     half = r // 2
     # the transcription's 2 * (C-weighted sum) is the v-weighted sum, since C_k = v_k / 2
     total = sum(
-        (-1) ** j * binom(r, j) * _weighted_binomial_sum(BALANCING, "v", 6 * j, r - 2 * j, n)
+        (-1) ** j * binom(r, j) * _binomial_lucas(BALANCING, "v", 6 * j, r - 2 * j, n)
         for j in range(half)
     )
     total += (-1) ** half * binom(r, half) * half**n

@@ -404,18 +404,57 @@ def test_binom_conv_rejects_bad_args():
         binom_conv_c(0, 1)
 
 
-@pytest.mark.parametrize("params", [BALANCING, SeqParams(1, 2), SeqParams(-2, 3)], ids=str)
+#: The sweep-binomial benchmark's strata with both signs of a, then (6, -1) and (1, 2).
+_BINOMIAL_STRATA = [SeqParams(s * a, b) for a, b in ((2, 3), (4, -3), (1, 6), (5, -6))
+                    for s in (1, -1)] + [BALANCING, SeqParams(1, 2)]
+
+
+@pytest.mark.parametrize("params", _BINOMIAL_STRATA, ids=str)
 def test_weighted_binomial_sum_matches_literal_formula(params):
-    # sum_k C(n,k) p^(n-k) q^k w_k with math.comb and ** (0**0 == 1), p or q negative or zero
+    # sum_k C(n,k) p^(n-k) q^k w_k with math.comb and ** (0**0 == 1), p or q negative, p zero
     clear_caches()
     for which, term in (("u", u), ("v", v)):
-        for p in (-3, 0, 2):
-            for q in (-2, 0, 5):
+        for p in range(-3, 8):
+            for q in (-2, 1, 2, 5, 8):
                 for n in range(81):
-                    got = identities._weighted_binomial_sum(params, which, p, q, n)
+                    got = identities._binomial_lucas(params, which, p, q, n)
                     assert got == sum(
                         comb(n, k) * p ** (n - k) * q**k * term(params, k) for k in range(n + 1)
                     )
+        # q = 0 gives the derived pair a zero discriminant; no closed form passes it
+        with pytest.raises(ValueError, match="discriminant"):
+            identities._binomial_lucas(params, which, 2, 0, 5)
+
+
+def test_fold_and_closed_forms_read_separate_sequence_tables():
+    # The fold reads only (params, u/v); the closed forms add only their derived pairs,
+    # (ar, (r-2j)^2 b - a^2 j(r-j)) for j < r/2, u-tables only where r is odd.
+    pairs = (BALANCING, SeqParams(-2, 3))
+    clear_caches()
+    for params in pairs:
+        for r in range(1, 6):
+            for n in range(61):
+                binom_conv_u(params, r, n)
+                binom_conv_v(params, r, n)
+    own = {(params, which) for params in pairs for which in ("u", "v")}
+    assert set(sequences._tables) == own
+    derived = set()
+    for params in pairs:
+        a, b = params.a, params.b
+        for r in range(1, 6):
+            for n in range(61):
+                assert rhs_multinom_u(params, r, n) == binom_conv_u(params, r, n)
+                assert rhs_multinom_v(params, r, n) == binom_conv_v(params, r, n)
+            for j in range((r + 1) // 2):
+                pair = SeqParams(a * r, (r - 2 * j) ** 2 * b - a * a * j * (r - j))
+                derived |= {(pair, "v")} | ({(pair, "u")} if r % 2 else set())
+    assert set(sequences._tables) - own == derived - own
+
+
+def test_every_rhs_name_is_public():
+    # perfbench/tracer.py times every rhs_* name of the module as a closed-form call, so a
+    # private rhs_* helper called from a closed form would be counted twice
+    assert {name for name in dir(identities) if name.startswith("rhs_")} <= set(identities.__all__)
 
 
 def test_rhs_multinom_u_examples():
