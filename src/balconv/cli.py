@@ -18,11 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .combinatorics import IntegralityError, as_integer, unlimited_int_digits
+from .combinatorics import IntegralityError, exact_div, unlimited_int_digits
 from .identities import (
     CATALOG,
     IdentityId,
@@ -128,7 +127,7 @@ def _identity_args(args: argparse.Namespace) -> tuple[IdentityId, SeqParams, int
 def _cmd_seq(args: argparse.Namespace) -> int:
     params, which, divisor = _kind_spec(args)
     term = u if which == "u" else v
-    values = [as_integer(Fraction(term(params, n), divisor)) for n in range(args.to + 1)]
+    values = [exact_div(term(params, n), divisor) for n in range(args.to + 1)]
     _write(
         args,
         [values],
@@ -154,7 +153,7 @@ def _cmd_conv(args: argparse.Namespace) -> int:
             "plain convolutions are defined for u-type kinds; "
             "use --binomial for lucas / lucas-balancing / v kinds"
         )
-    value = as_integer(Fraction(value, divisor**args.r))
+    value = exact_div(value, divisor**args.r)
     _write(
         args,
         [("r", "n", "value"), (args.r, args.n, value)],

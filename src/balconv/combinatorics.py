@@ -1,44 +1,44 @@
 """Exact combinatorial primitives: binomials and multinomials.
 
-Everything here is plain ``int``/``Fraction`` arithmetic; Python integers are
-unbounded, so there is no overflow to guard against.
+Everything here is plain ``int`` arithmetic; Python integers are unbounded,
+so there is no overflow to guard against.
 """
 
 from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
 __all__ = [
     "IntegralityError",
-    "as_integer",
     "binom",
+    "exact_div",
     "multinomial",
 ]
 
 
 class IntegralityError(ArithmeticError):
-    """A rationally-computed value failed its denominator-1 assertion.
+    """A division that must be exact left a remainder.
 
-    Raised by :func:`as_integer` when a closed form that must produce an
+    Raised by :func:`exact_div` when a closed form that must produce an
     integer on its validity domain does not.  This is an internal invariant
     violation, not a recoverable input error.
     """
 
 
-def as_integer(value: Fraction) -> int:
-    """Collapse an exact rational that is known to be integral.
+def exact_div(num: int, den: int) -> int:
+    """num / den for a division known to be exact; the divisor may be negative.
 
-    >>> as_integer(Fraction(12, 4))
-    3
+    >>> exact_div(12, -4)
+    -3
     """
-    if value.denominator != 1:
-        raise IntegralityError(f"expected an integer, got {value!r}")
-    return value.numerator
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise IntegralityError(f"division by {den} leaves a remainder of {remainder}")
+    return quotient
 
 
 @lru_cache(maxsize=None)

@@ -2,14 +2,15 @@
 
 Each catalog entry pairs a brute-force left-hand side (a convolution computed
 directly, either as a coefficient of an OGF power or as a binomial-weighted
-fold) with a closed-form right-hand side evaluated in exact rationals and
-collapsed to an integer.  :func:`verify_identity` sweeps a range of n and
-reports every mismatch with an exact witness.
+fold) with a closed-form right-hand side evaluated in integers; a closed form
+that divides does so with :func:`exact_div`, which raises on a remainder.
+:func:`verify_identity` sweeps a range of n and reports every mismatch with an
+exact witness.
 
 Closed forms reject n below their validity bound instead of extrapolating;
-the oracles are total.  The ``printed`` evaluators transcribe per-r corollary
-forms verbatim, typos included, so sweeps can measure exactly where a
-transcription diverges from the general formula.
+the oracles are total.  The ``printed`` evaluator transcribes the per-r
+corollary forms verbatim, typos included, so sweeps can measure exactly where
+a transcription diverges from the general formula.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -25,7 +25,7 @@ from operator import add, mul
 from typing import Callable, Iterator
 
 from . import combinatorics, sequences
-from .combinatorics import as_integer, binom, unlimited_int_digits
+from .combinatorics import binom, exact_div, unlimited_int_digits
 from .sequences import (
     BALANCING,
     FIBONACCI,
@@ -72,7 +72,6 @@ __all__ = [
     "rhs_multinom_v",
     "rhs_pair_plain",
     "rhs_pair_telescope",
-    "rhs_printed_balancing_even_b",
     "rhs_printed_corollary",
     "rhs_triple_alt",
     "verify_identity",
@@ -276,7 +275,7 @@ def binom_conv_c(r: int, n: int) -> int:
 
     C_k = v_k / 2 at (6, -1), so this is the v-fold there divided exactly by 2^r.
     """
-    return as_integer(Fraction(_binom_conv("binom_conv_c", BALANCING, "v", r, n), 2**r))
+    return exact_div(_binom_conv("binom_conv_c", BALANCING, "v", r, n), 2**r)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +289,7 @@ def rhs_general_alt(r: int, n: int) -> int:
         sum_{k=1}^{r-1} (-1)^{k-1} (n-2k-r+3)/(r-1)
                         * C(n-2k+1, r-k-1) * C(n-k-2r+3, k-1) * B_{n-2k-r+3}
 
-    Evaluated in exact rationals and asserted integral.
+    The sum is divided by r-1 with :func:`exact_div`.
     """
     if r < 2:
         raise ValueError(f"rhs_general_alt: r must be >= 2, got {r}")
@@ -305,7 +304,7 @@ def rhs_general_alt(r: int, n: int) -> int:
             * balancing(n - 2 * k - r + 3)
         )
         total += term if k % 2 else -term
-    return as_integer(Fraction(total, r - 1))
+    return exact_div(total, r - 1)
 
 
 def rhs_triple_alt(n: int) -> int:
@@ -318,9 +317,11 @@ def rhs_triple_alt(n: int) -> int:
 def rhs_printed_corollary(r: int, n: int) -> int:
     """Hand-expanded corollary forms for r = 4, 5, 6, n >= 3r-5, kept exactly as transcribed.
 
-    The r = 5 form repeats B_{n-6} in its third term where the general
-    formula indexes B_{n-8}; it is preserved verbatim so the divergence can
-    be detected, not silently repaired.
+    Each form is evaluated multiplied through by the lcm of its printed
+    denominators (3 for r = 4, 8 for r = 5, 60 = lcm(30, 20) for r = 6) and
+    divided back exactly once at the end.  The r = 5 form repeats B_{n-6} in
+    its third term where the general formula indexes B_{n-8}; it is kept
+    verbatim so the divergence can be detected, not silently repaired.
     """
     if r not in (4, 5, 6):
         raise ValueError(f"rhs_printed_corollary: transcribed forms exist for r in (4, 5, 6), got {r}")
@@ -328,22 +329,25 @@ def rhs_printed_corollary(r: int, n: int) -> int:
         raise ValueError(f"rhs_printed_corollary: r = {r} requires n >= {3 * r - 5}, got {n}")
     B = balancing
     if r == 4:
-        total = Fraction(binom(n - 1, 3) * B(n - 3))
-        total -= Fraction((n - 3) * (n - 5) * (n - 7), 3) * B(n - 5)
-        total += binom(n - 7, 3) * B(n - 7)
+        scale = 3
+        total = 3 * binom(n - 1, 3) * B(n - 3)
+        total -= (n - 3) * (n - 5) * (n - 7) * B(n - 5)
+        total += 3 * binom(n - 7, 3) * B(n - 7)
     elif r == 5:
-        total = Fraction(binom(n - 1, 4) * B(n - 4))
-        total -= Fraction((n - 3) * (n - 4) * (n - 6) * (n - 9), 8) * B(n - 6)
+        scale = 8
+        total = 8 * binom(n - 1, 4) * B(n - 4)
+        total -= (n - 3) * (n - 4) * (n - 6) * (n - 9) * B(n - 6)
         # transcribed verbatim: B(n - 6) again, where the general form has B(n - 8)
-        total += Fraction((n - 5) * (n - 8) * (n - 10) * (n - 11), 8) * B(n - 6)
-        total -= binom(n - 10, 4) * B(n - 10)
+        total += (n - 5) * (n - 8) * (n - 10) * (n - 11) * B(n - 6)
+        total -= 8 * binom(n - 10, 4) * B(n - 10)
     else:
-        total = Fraction(binom(n - 1, 5) * B(n - 5))
-        total -= Fraction((n - 3) * (n - 4) * (n - 5) * (n - 7) * (n - 11), 30) * B(n - 7)
-        total += Fraction((n - 5) * (n - 6) * (n - 9) * (n - 12) * (n - 13), 20) * B(n - 9)
-        total -= Fraction((n - 7) * (n - 11) * (n - 13) * (n - 14) * (n - 15), 30) * B(n - 11)
-        total += binom(n - 13, 5) * B(n - 13)
-    return as_integer(total)
+        scale = 60
+        total = 60 * binom(n - 1, 5) * B(n - 5)
+        total -= 2 * (n - 3) * (n - 4) * (n - 5) * (n - 7) * (n - 11) * B(n - 7)
+        total += 3 * (n - 5) * (n - 6) * (n - 9) * (n - 12) * (n - 13) * B(n - 9)
+        total -= 2 * (n - 7) * (n - 11) * (n - 13) * (n - 14) * (n - 15) * B(n - 11)
+        total += 60 * binom(n - 13, 5) * B(n - 13)
+    return exact_div(total, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +387,7 @@ def rhs_general_plain(r: int, n: int) -> int:
         * balancing(n - 2 * m - r + 1)
         for m in range((n - r + 1) // 2 + 1)
     )
-    return as_integer(Fraction(total, r - 1))
+    return exact_div(total, r - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +435,7 @@ def rhs_multinom_u(params: SeqParams, r: int, n: int) -> int:
     if n < 0:
         raise ValueError(f"rhs_multinom_u: n must be nonnegative, got {n}")
     total = _multinom_sum(params, "u" if r % 2 else "v", -1, r, n)
-    return as_integer(Fraction(total, params.discriminant ** (r // 2)))
+    return exact_div(total, params.discriminant ** (r // 2))
 
 
 def rhs_multinom_v(params: SeqParams, r: int, n: int) -> int:
@@ -448,14 +452,14 @@ def rhs_binom_pair_b(n: int) -> int:
     """(2^n C_n - 6^n) / 16."""
     if n < 0:
         raise ValueError(f"rhs_binom_pair_b: n must be nonnegative, got {n}")
-    return as_integer(Fraction(2**n * lucas_balancing(n) - 6**n, 16))
+    return exact_div(2**n * lucas_balancing(n) - 6**n, 16)
 
 
 def rhs_binom_pair_c(n: int) -> int:
     """(2^n C_n + 6^n) / 2."""
     if n < 0:
         raise ValueError(f"rhs_binom_pair_c: n must be nonnegative, got {n}")
-    return as_integer(Fraction(2**n * lucas_balancing(n) + 6**n, 2))
+    return exact_div(2**n * lucas_balancing(n) + 6**n, 2)
 
 
 def rhs_multinom_triple_b(n: int) -> int:
@@ -463,7 +467,7 @@ def rhs_multinom_triple_b(n: int) -> int:
     if n < 0:
         raise ValueError(f"rhs_multinom_triple_b: n must be nonnegative, got {n}")
     mixed = _binomial_lucas(BALANCING, "u", 6, 1, n)
-    return as_integer(Fraction(3**n * balancing(n) - 3 * mixed, 32))
+    return exact_div(3**n * balancing(n) - 3 * mixed, 32)
 
 
 def rhs_multinom_triple_c(n: int) -> int:
@@ -471,15 +475,15 @@ def rhs_multinom_triple_c(n: int) -> int:
     if n < 0:
         raise ValueError(f"rhs_multinom_triple_c: n must be nonnegative, got {n}")
     # sum_k C(n,k) 6^{n-k} C_k is the v-weighted sum halved, since C_k = v_k / 2
-    mixed = as_integer(Fraction(_binomial_lucas(BALANCING, "v", 6, 1, n), 2))
-    return as_integer(Fraction(3**n * lucas_balancing(n) + 3 * mixed, 4))
+    mixed = exact_div(_binomial_lucas(BALANCING, "v", 6, 1, n), 2)
+    return exact_div(3**n * lucas_balancing(n) + 3 * mixed, 4)
 
 
 def rhs_fib_pair_f(n: int) -> int:
     """(2^n L_n - 2) / 5."""
     if n < 0:
         raise ValueError(f"rhs_fib_pair_f: n must be nonnegative, got {n}")
-    return as_integer(Fraction(2**n * lucas(n) - 2, 5))
+    return exact_div(2**n * lucas(n) - 2, 5)
 
 
 def rhs_fib_pair_l(n: int) -> int:
@@ -487,28 +491,6 @@ def rhs_fib_pair_l(n: int) -> int:
     if n < 0:
         raise ValueError(f"rhs_fib_pair_l: n must be nonnegative, got {n}")
     return 2**n * lucas(n) + 2
-
-
-def rhs_printed_balancing_even_b(r: int, n: int) -> Fraction:
-    """Even-r balancing specialization exactly as transcribed, as a rational.
-
-    The transcription ends in (r/2)^n where the general form produces
-    (3r)^n; with that term the expression is usually not even integral, so
-    this quarantined evaluator returns the exact Fraction instead of
-    asserting integrality.
-    """
-    if r < 2 or r % 2:
-        raise ValueError(f"rhs_printed_balancing_even_b: r must be even and >= 2, got {r}")
-    if n < 0:
-        raise ValueError(f"rhs_printed_balancing_even_b: n must be nonnegative, got {n}")
-    half = r // 2
-    # the transcription's 2 * (C-weighted sum) is the v-weighted sum, since C_k = v_k / 2
-    total = sum(
-        (-1) ** j * binom(r, j) * _binomial_lucas(BALANCING, "v", 6 * j, r - 2 * j, n)
-        for j in range(half)
-    )
-    total += (-1) ** half * binom(r, half) * half**n
-    return Fraction(total, 32**half)
 
 
 # ---------------------------------------------------------------------------

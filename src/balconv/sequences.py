@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .combinatorics import IntegralityError
+from .combinatorics import exact_div
 
 __all__ = [
     "BALANCING",
@@ -103,11 +103,7 @@ def lucas_balancing(n: int) -> int:
     v_n is even for every n (both initial values are, and the recurrence
     preserves parity here), so the division is exact.
     """
-    vn = v(BALANCING, n)
-    half, rem = divmod(vn, 2)
-    if rem:
-        raise IntegralityError(f"v_{n} = {vn} is odd; cannot halve exactly")
-    return half
+    return exact_div(v(BALANCING, n), 2)
 
 
 def fibonacci(n: int) -> int:

@@ -111,12 +111,6 @@ class Series:
         m = min(self.order, other.order)
         return Series([self._coeffs[i] + other._coeffs[i] for i in range(m + 1)])
 
-    def __sub__(self, other: Series) -> Series:
-        if not isinstance(other, Series):
-            return NotImplemented
-        m = min(self.order, other.order)
-        return Series([self._coeffs[i] - other._coeffs[i] for i in range(m + 1)])
-
     def __mul__(self, other: Series) -> Series:
         """Cauchy product, truncated where an unknown tail could first intrude."""
         if not isinstance(other, Series):

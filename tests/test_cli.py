@@ -317,6 +317,14 @@ def test_unwritable_output_exits_2(tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
+def _run_child(script):
+    """Run ``python -c script`` in a fresh interpreter with this tree's src first on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    old = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + old if old else "")}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+
+
 def test_plain_conv_of_large_r_needs_no_recursion():
     # the OGF powers grow as one list, so r = 120 answers under a recursion limit of 100
     script = (
@@ -325,10 +333,7 @@ def test_plain_conv_of_large_r_needs_no_recursion():
         "sys.setrecursionlimit(100)\n"
         "sys.exit(run(['conv', '--r', '120', '--n', '127']))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    old = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + old if old else "")}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    proc = _run_child(script)
     assert (proc.returncode, proc.stderr) == (0, "")
     closed = invoke(["closed", "--identity", "general-plain", "--r", "120", "--n", "127"])
     assert closed == (0, proc.stdout, "")
@@ -341,6 +346,22 @@ def test_binomial_conv_of_large_r_needs_no_recursion():
     assert (code, err) == (0, "")
     closed = invoke(["closed", "--identity", "general-v", "--a", "1", "--b", "1", "--r", "1200", "--n", "3"])
     assert closed == (0, out, "")
+
+
+def test_cli_imports_only_the_standard_library_and_no_fractions():
+    # compare what importing the CLI adds, not all of sys.modules: site may load .pth modules
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import balconv.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = _run_child(script)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    added = set(proc.stdout.split())
+    assert "balconv.cli" in added
+    assert "fractions" not in added
+    assert {name.partition(".")[0] for name in added} - {"balconv"} <= sys.stdlib_module_names
 
 
 def test_help_exits_0():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from balconv.combinatorics import IntegralityError, as_integer, binom, multinomial
+from balconv.combinatorics import IntegralityError, binom, exact_div, multinomial
 
 
 def test_binom_examples():
@@ -92,11 +92,16 @@ def test_fraction_canonical_form(p, q):
     assert Fraction(f.numerator, f.denominator) == f
 
 
-def test_as_integer():
-    assert as_integer(Fraction(12, 4)) == 3
-    assert as_integer(Fraction(-7, 1)) == -7
-    with pytest.raises(IntegralityError):
-        as_integer(Fraction(1, 2))
+def test_exact_div():
+    assert exact_div(12, 4) == 3
+    assert exact_div(-7, 1) == -7
+    assert exact_div(-12, 4) == -3
+    assert exact_div(12, -4) == -3
+    assert exact_div(-12, -4) == 3
+    assert exact_div(0, -3) == 0
+    for num, den in ((1, 2), (-1, 2), (7, -3), (-7, -3)):
+        with pytest.raises(IntegralityError):
+            exact_div(num, den)
 
 
 def test_binom_agrees_with_math_comb():

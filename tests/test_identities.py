@@ -41,7 +41,6 @@ from balconv.identities import (
     rhs_multinom_v,
     rhs_pair_plain,
     rhs_pair_telescope,
-    rhs_printed_balancing_even_b,
     rhs_printed_corollary,
     rhs_triple_alt,
     verify_identity,
@@ -519,6 +518,28 @@ def test_special_forms_agree_with_general_branch():
         assert 8 * rhs_multinom_triple_c(n) == rhs_multinom_v(BALANCING, 3, n)
 
 
+def rhs_printed_balancing_even_b(r: int, n: int) -> Fraction:
+    """Even-r balancing specialization exactly as transcribed, as a rational.
+
+    The transcription ends in (r/2)^n where the general form produces
+    (3r)^n; with that term the expression is usually not even integral, so
+    this evaluator returns the exact Fraction instead of asserting
+    integrality.
+    """
+    if r < 2 or r % 2:
+        raise ValueError(f"rhs_printed_balancing_even_b: r must be even and >= 2, got {r}")
+    if n < 0:
+        raise ValueError(f"rhs_printed_balancing_even_b: n must be nonnegative, got {n}")
+    half = r // 2
+    # the transcription's 2 * (C-weighted sum) is the v-weighted sum, since C_k = v_k / 2
+    total = sum(
+        (-1) ** j * binom(r, j) * identities._binomial_lucas(BALANCING, "v", 6 * j, r - 2 * j, n)
+        for j in range(half)
+    )
+    total += (-1) ** half * binom(r, half) * half**n
+    return Fraction(total, 32**half)
+
+
 def test_printed_balancing_even_form_diverges():
     # transcribed even-r form ends in (r/2)^n instead of (3r)^n: not even
     # integral for most n, and wrong wherever it is
@@ -596,6 +617,8 @@ def test_verify_general_u_params():
 )
 @example(IdentityId.GENERAL_U, -3, 2, 5)
 @example(IdentityId.GENERAL_V, 2, -5, 4)
+@example(IdentityId.GENERAL_U, 1, -1, 3)  # D = -3: a negative exact divisor
+@example(IdentityId.GENERAL_U, 2, -3, 2)  # D = -8
 def test_verify_general_u_v_random_params(identity, a, b, r):
     assume(a * a + 4 * b != 0)
     report = verify_identity(identity, (0, 15), params=SeqParams(a, b), r=r)
@@ -669,7 +692,7 @@ def test_integrality_never_fires_on_valid_domains():
                 rhs_general_alt(r, n)
             for n in range(r, 60):
                 rhs_general_plain(r, n)
-        for params in PARAM_GRID:
+        for params in (*PARAM_GRID, SeqParams(1, -1)):  # D = -3 divides by negative D^(r/2)
             for r in range(1, 5):
                 for n in range(25):
                     rhs_multinom_u(params, r, n)
