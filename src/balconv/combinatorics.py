@@ -1,4 +1,4 @@
-"""Exact combinatorial primitives: binomials and multinomials.
+"""Exact integer primitives: binomials, exact division and the int/str digit limit.
 
 Everything here is plain ``int`` arithmetic; Python integers are unbounded,
 so there is no overflow to guard against.
@@ -10,13 +10,12 @@ import sys
 from contextlib import contextmanager
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator
 
 __all__ = [
     "IntegralityError",
     "binom",
     "exact_div",
-    "multinomial",
 ]
 
 
@@ -57,20 +56,6 @@ def binom(m: int, k: int) -> int:
     if m >= 0:
         return comb(m, k)
     return (-1) ** k * comb(k - m - 1, k)
-
-
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    """Multinomial coefficient n!/(k_1! ... k_r!) for parts summing to n."""
-    if any(p < 0 for p in parts):
-        raise ValueError(f"multinomial: parts must be nonnegative, got {list(parts)}")
-    if sum(parts) != n:
-        raise ValueError(f"multinomial: parts {list(parts)} do not sum to {n}")
-    result = 1
-    remaining = n
-    for p in parts:
-        result *= comb(remaining, p)
-        remaining -= p
-    return result
 
 
 @contextmanager

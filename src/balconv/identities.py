@@ -89,9 +89,9 @@ PARAM_GRID: tuple[SeqParams, ...] = (
 
 
 def clear_caches() -> None:
-    """Drop every memoized value: OGF power lists, folds and their Pascal rows, binomials
-    and sequence tables, including the derived-parameter tables."""
-    for cached in (_ogf_power, _binom_fold, combinatorics.binom):
+    """Drop every memoized value: OGF power lists, the S_2 pair sums, folds and their
+    Pascal rows, binomials and sequence tables, including the derived-parameter tables."""
+    for cached in (_ogf_power, _pair_square, _binom_fold, combinatorics.binom):
         cached.cache_clear()
     _pascal_rows.clear()
     sequences._tables.clear()
@@ -180,20 +180,34 @@ def alt_weighted_conv(r: int, n: int) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def _pair_square(m: int) -> int:
+    """S_2(m) = sum_{j=1}^{m-1} B_j B_{m-j}, summed literally over its symmetric half.
+
+    Terms j and m - j are equal, so S_2(m) = 2 sum_{1<=j<m/2} B_j B_{m-j}, plus
+    B_{m/2}^2 for even m.  Memoized per m, not as a list grown from m = 0:
+    sweeps that start at large n never build the values below their range.
+    """
+    B = terms(BALANCING, "u", m)
+    half = sum(map(mul, B[1:(m + 1) // 2], B[m - 1:m // 2:-1]))
+    return 2 * half + (B[m // 2] ** 2 if m % 2 == 0 else 0)
+
+
 def pair_telescope_sum(n: int) -> int:
-    """sum_{j=1}^{n} (B_j B_{n-j+1} - B_{j-1} B_{n-j}); total, empty sum is 0."""
+    """sum_{j=1}^{n} (B_j B_{n-j+1} - B_{j-1} B_{n-j}); total, empty sum is 0.
+
+    With B_0 = 0 the two sums are S_2(n+1) and S_2(n-1), the second read with i = j - 1.
+    """
     if n < 0:
         raise ValueError(f"pair_telescope_sum: n must be nonnegative, got {n}")
-    B = terms(BALANCING, "u", n)
-    return sum(B[j] * B[n - j + 1] - B[j - 1] * B[n - j] for j in range(1, n + 1))
+    return _pair_square(n + 1) - _pair_square(n - 1) if n else 0
 
 
 def pair_plain_sum(n: int) -> int:
     """sum_{j=1}^{n-1} B_j B_{n-j}, the two-fold convolution written out."""
     if n < 0:
         raise ValueError(f"pair_plain_sum: n must be nonnegative, got {n}")
-    B = terms(BALANCING, "u", n)
-    return sum(B[j] * B[n - j] for j in range(1, n))
+    return _pair_square(n)
 
 
 # ---------------------------------------------------------------------------

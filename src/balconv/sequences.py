@@ -22,7 +22,6 @@ __all__ = [
     "FIBONACCI",
     "SeqParams",
     "balancing",
-    "check_cross_recurrence",
     "fibonacci",
     "lucas",
     "lucas_balancing",
@@ -114,15 +113,3 @@ def fibonacci(n: int) -> int:
 def lucas(n: int) -> int:
     """n-th Lucas number L_n: 2, 1, 3, 4, 7, ..."""
     return v(FIBONACCI, n)
-
-
-def check_cross_recurrence(n_max: int) -> bool:
-    """True iff B_{n+1} = 3B_n + C_n and C_{n+1} = 8B_n + 3C_n for 0 <= n <= n_max."""
-    if n_max < 0:
-        raise ValueError(f"check_cross_recurrence: n_max must be nonnegative, got {n_max}")
-    for n in range(n_max + 1):
-        if balancing(n + 1) != 3 * balancing(n) + lucas_balancing(n):
-            return False
-        if lucas_balancing(n + 1) != 8 * balancing(n) + 3 * lucas_balancing(n):
-            return False
-    return True

@@ -1,11 +1,11 @@
-from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from balconv.combinatorics import IntegralityError, binom, exact_div, multinomial
+from balconv.combinatorics import IntegralityError, binom, exact_div
+from helpers import multinomial
 
 
 def test_binom_examples():
@@ -79,17 +79,6 @@ def test_int_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-
-
-@given(
-    st.integers(-10**6, 10**6),
-    st.integers(-10**6, 10**6).filter(lambda x: x != 0),
-)
-def test_fraction_canonical_form(p, q):
-    f = Fraction(p, q)
-    assert f.denominator > 0
-    assert gcd(f.numerator, f.denominator) == 1
-    assert Fraction(f.numerator, f.denominator) == f
 
 
 def test_exact_div():

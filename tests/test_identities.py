@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import balconv
 from balconv import identities, sequences
-from balconv.combinatorics import IntegralityError, binom, multinomial
+from balconv.combinatorics import IntegralityError, binom
 from balconv.identities import (
     CATALOG,
     PARAM_GRID,
@@ -55,6 +55,7 @@ from balconv.sequences import (
     u,
     v,
 )
+from helpers import multinomial
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +138,23 @@ def test_pair_sums_match_literal_per_term_formulas():
         assert plain == sum(B(j) * B(n - j) for j in range(1, n))
         if n >= 2:
             assert closed == sum((n - 2 * m - 1) * B(n - 2 * m - 1) for m in range((n - 1) // 2 + 1))
+
+
+def test_pair_square_is_two_fold_conv_power():
+    # odd and even m (the unpaired middle term), across the 64 and 128 block edges
+    for m in range(201):
+        assert identities._pair_square(m) == conv_power(BALANCING, 2, m)
+
+
+def test_pair_sums_from_a_high_start_match_literal_formulas():
+    # the S_2 memo is keyed by m, so a sweep that starts high builds nothing below it
+    clear_caches()
+    got = {n: (pair_telescope_sum(n), pair_plain_sum(n)) for n in range(150, 171)}
+    assert identities._pair_square.cache_info().currsize == len(range(149, 172))
+    B = balancing
+    for n, (telescope, plain) in got.items():
+        assert telescope == sum(B(j) * B(n - j + 1) - B(j - 1) * B(n - j) for j in range(1, n + 1))
+        assert plain == sum(B(j) * B(n - j) for j in range(1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +685,14 @@ def test_clear_caches_drops_every_memo():
     conv_power(BALANCING, 3, 10)
     binom_conv_v(FIBONACCI, 2, 5)
     binom(9, 4)
+    pair_plain_sum(12)
     assert identities._pascal_rows and sequences._tables
     assert identities._ogf_power.cache_info().currsize > 0
+    assert identities._pair_square.cache_info().currsize > 0
     clear_caches()
     assert binom.cache_info().currsize == 0
     assert identities._ogf_power.cache_info().currsize == 0
+    assert identities._pair_square.cache_info().currsize == 0
     assert identities._binom_fold.cache_info().currsize == 0
     assert not identities._pascal_rows
     assert not sequences._tables

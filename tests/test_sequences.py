@@ -11,7 +11,6 @@ from balconv.sequences import (
     FIBONACCI,
     SeqParams,
     balancing,
-    check_cross_recurrence,
     fibonacci,
     lucas,
     lucas_balancing,
@@ -19,6 +18,7 @@ from balconv.sequences import (
     u,
     v,
 )
+from helpers import check_cross_recurrence
 
 def params_or_none(a, b):
     try:
