@@ -1,9 +1,11 @@
 """Identity catalog: convolution oracles, closed forms, and the verifier.
 
 Each catalog entry pairs a brute-force left-hand side (a convolution computed
-directly, either as a coefficient of an OGF power or as a binomial-weighted
-fold) with a closed-form right-hand side evaluated in integers; a closed form
-that divides does so with :func:`exact_div`, which raises on a remainder.
+directly: a coefficient of the OGF power x^r / P^r read from the recurrence
+whose characteristic polynomial is P^r, a binomial-weighted fold, or a literal
+sum of products) with a closed-form right-hand side evaluated in integers; a
+closed form that divides does so with :func:`exact_div`, which raises on a
+remainder.
 :func:`verify_identity` sweeps a range of n and reports every mismatch with an
 exact witness.
 
@@ -37,7 +39,10 @@ from .sequences import (
     u,
     v,  # no caller here, but perfbench/tracer.py wraps it by this name
 )
-from .series import Series, ogf
+from .series import (
+    Series,
+    ogf,  # no caller here, but perfbench/tracer.py wraps it by this name
+)
 
 __all__ = [
     "CATALOG",
@@ -89,8 +94,9 @@ PARAM_GRID: tuple[SeqParams, ...] = (
 
 
 def clear_caches() -> None:
-    """Drop every memoized value: OGF power lists, the S_2 pair sums, folds and their
-    Pascal rows, binomials and sequence tables, including the derived-parameter tables."""
+    """Drop every memoized value: the P^r coefficient lists of the plain convolutions, the
+    S_2 pair sums, folds and their Pascal rows, binomials and sequence tables, including
+    the derived-parameter tables."""
     for cached in (_ogf_power, _pair_square, _binom_fold, combinatorics.binom):
         cached.cache_clear()
     _pascal_rows.clear()
@@ -105,25 +111,21 @@ def clear_caches() -> None:
 _table_lock = threading.Lock()
 
 
-def _padded_order(n: int) -> int:
-    # Round requests up so sweeps share one power list per (params, order).
-    return max(64, -(-(n + 1) // 64) * 64)
-
-
 @lru_cache(maxsize=None)
-def _ogf_power(params: SeqParams, order: int) -> list[Series]:
-    # Registry of the grow-only power lists [f, f^2, ...]; only conv_power appends to them.
-    return [ogf(params, order)]
+def _ogf_power(params: SeqParams, r: int) -> tuple[tuple[int, ...], list[int]]:
+    # Registry of (P^r coefficients, grow-only list of [x^m] f^r); only conv_power appends.
+    return Series([1, -params.a, -params.b], order=2 * r).pow(r).coeffs, []
 
 
 def conv_power(params: SeqParams, r: int, n: int) -> int:
     """Sum of u_{j_1}...u_{j_r} over compositions of n into r positive parts.
 
-    Read off as coefficient n of the r-th power of the OGF; u_0 = 0 makes
-    "positive parts" automatic.  Zero whenever n < r (empty composition set).
-    The powers of one (params, order) form one list that grows only by
-    appending f^k = f^(k-1) * f, truncated to the list's order, under a lock,
-    so each power is made once per process, at any r, without recursion.
+    This is coefficient n of f^r = x^r / P^r, P = 1 - a x - b x^2; u_0 = 0
+    makes "positive parts" automatic, and it is zero whenever n < r.  From
+    P^r f^r = x^r, with p_i the coefficients of P^r and g_m = [x^m] f^r,
+    g_m = [m = r] - sum_{i=1}^{2r} p_i g_{m-i} (g = 0 below index 0), so each
+    coefficient costs O(r).  One list per (params, r) grows from m = 0 by
+    appending under a lock, so each coefficient is made once per process.
     """
     if r < 1:
         raise ValueError(f"conv_power: r must be >= 1, got {r}")
@@ -131,13 +133,14 @@ def conv_power(params: SeqParams, r: int, n: int) -> int:
         raise ValueError(f"conv_power: n must be nonnegative, got {n}")
     if n < r:
         return 0
-    powers = _ogf_power(params, _padded_order(n))
-    if len(powers) < r:
+    p, g = _ogf_power(params, r)
+    if len(g) <= n:
         with _table_lock:
-            while len(powers) < r:
-                product = powers[-1] * powers[0]
-                powers.append(Series(product.coeffs, order=powers[0].order))
-    return powers[r - 1].coefficient(n)
+            while len(g) <= n:
+                m = len(g)
+                lo = max(0, m - 2 * r)
+                g.append((m == r) - sum(map(mul, g[lo:m], p[m - lo:0:-1])))
+    return g[n]
 
 
 def conv_power_by_enumeration(params: SeqParams, r: int, n: int) -> int:

@@ -112,19 +112,23 @@ class Series:
         return Series([self._coeffs[i] + other._coeffs[i] for i in range(m + 1)])
 
     def __mul__(self, other: Series) -> Series:
-        """Cauchy product, truncated where an unknown tail could first intrude."""
+        """Cauchy product, truncated where an unknown tail could first intrude.
+
+        Only nonzero coefficients are multiplied, so a sparse factor such as
+        a polynomial padded to a high order costs what its terms cost.
+        """
         if not isinstance(other, Series):
             return NotImplemented
         m = min(self.order + other.valuation(), other.order + self.valuation())
-        a, b = self._coeffs[: m + 1], other._coeffs[: m + 1]
+        b = [(j, bj) for j, bj in enumerate(other._coeffs[: m + 1]) if bj]
         out = [0] * (m + 1)
-        for i, ai in enumerate(a):
+        for i, ai in enumerate(self._coeffs[: m + 1]):
             if not ai:
                 continue
-            for j in range(min(len(b) - 1, m - i) + 1):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
+            for j, bj in b:
+                if i + j > m:
+                    break
+                out[i + j] += ai * bj
         return Series(out)
 
     def scale(self, c: int) -> Series:

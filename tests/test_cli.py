@@ -326,7 +326,7 @@ def _run_child(script):
 
 
 def test_plain_conv_of_large_r_needs_no_recursion():
-    # the OGF powers grow as one list, so r = 120 answers under a recursion limit of 100
+    # the coefficient lists grow by a loop, so r = 120 answers under a recursion limit of 100
     script = (
         "import sys\n"
         "from balconv.cli import run\n"
@@ -338,6 +338,13 @@ def test_plain_conv_of_large_r_needs_no_recursion():
     closed = invoke(["closed", "--identity", "general-plain", "--r", "120", "--n", "127"])
     assert closed == (0, proc.stdout, "")
     assert proc.stdout.strip() == "23416989202260720"
+
+
+def test_plain_conv_of_r_600_matches_the_closed_form():
+    argv = ["--r", "600", "--n", "700"]
+    code, out, err = invoke(["conv", "--kind", "balancing", *argv])
+    assert (code, err) == (0, "")
+    assert invoke(["closed", "--identity", "general-plain", *argv]) == (0, out, "")
 
 
 def test_binomial_conv_of_large_r_needs_no_recursion():

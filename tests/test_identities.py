@@ -93,10 +93,15 @@ def test_conv_power_rejects_bad_args():
 
 
 def test_conv_power_matches_enumeration():
-    # series-power and composition-enumeration oracles agree
+    # recurrence and composition-enumeration oracles agree; negative a and b
+    # check that the recurrence carries both signs through every coefficient
     for params in (BALANCING, FIBONACCI):
         for r in range(1, 5):
             for n in range(13):
+                assert conv_power(params, r, n) == conv_power_by_enumeration(params, r, n)
+    for params in (SeqParams(-6, -1), SeqParams(-1, -1), SeqParams(3, -2), SeqParams(-2, 5)):
+        for r in (1, 2, 5, 9):
+            for n in range(15):
                 assert conv_power(params, r, n) == conv_power_by_enumeration(params, r, n)
 
 
@@ -141,7 +146,7 @@ def test_pair_sums_match_literal_per_term_formulas():
 
 
 def test_pair_square_is_two_fold_conv_power():
-    # odd and even m (the unpaired middle term), across the 64 and 128 block edges
+    # odd and even m (the unpaired middle term), up to m = 200
     for m in range(201):
         assert identities._pair_square(m) == conv_power(BALANCING, 2, m)
 

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +26,12 @@ shifted_series_st = st.builds(
         st.lists(coeff_st, min_size=1, max_size=8),
         st.lists(st.just(0), min_size=1, max_size=4),
     ),
+)
+# Mostly zero: at most four nonzero terms spread over up to 25 coefficients.
+sparse_series_st = st.builds(
+    lambda terms, order: Series([terms.get(i, 0) for i in range(order + 1)]),
+    st.dictionaries(st.integers(0, 24), coeff_st.filter(bool), max_size=4),
+    st.integers(0, 24),
 )
 
 
@@ -140,8 +148,9 @@ def test_series_pow_matches_composition_enumeration():
             assert fr.coefficient(n) == conv_power_by_enumeration(BALANCING, r, n)
 
 
-@given(shifted_series_st, shifted_series_st)
-def test_mul_matches_literal_integer_double_loop(f, g):
+def naive_product(f, g):
+    """Literal double sum over every coefficient pair, truncated by the documented rule."""
+
     def val(cs):
         return next((i for i, c in enumerate(cs) if c), len(cs))
 
@@ -152,16 +161,41 @@ def test_mul_matches_literal_integer_double_loop(f, g):
         for j, bj in enumerate(b):
             if i + j <= m:
                 expected[i + j] += ai * bj
+    return tuple(expected)
+
+
+@given(shifted_series_st, shifted_series_st)
+def test_mul_matches_literal_integer_double_loop(f, g):
     product = f * g
-    assert product.coeffs == tuple(expected)
+    assert product.coeffs == naive_product(f, g)
     assert all(type(c) is int for c in product.coeffs)
+
+
+@given(sparse_series_st, st.one_of(sparse_series_st, shifted_series_st))
+def test_mul_of_sparse_operands_matches_literal_double_loop(f, g):
+    assert (f * g).coeffs == naive_product(f, g)
+    assert (g * f).coeffs == naive_product(g, f)
+
+
+def test_mul_of_structured_sparse_operands_matches_literal_double_loop():
+    # the operands the library multiplies: even-power expansions, shifted
+    # series, and the 3-term P = 1 - a x - b x^2 padded to order 2r
+    operands = [
+        geom_even_pow(-3, 20),
+        geom_even_pow(2, 20),
+        ogf(BALANCING, 12).shift(5),
+        geom_even_pow(-1, 9).shift(4),
+        *(Series([1, -a, -b], order=2 * r) for a, b, r in ((6, 1, 1), (6, 1, 7), (-3, 2, 4), (0, -5, 3))),
+    ]
+    for f in operands:
+        for g in operands:
+            assert (f * g).coeffs == naive_product(f, g)
 
 
 @pytest.mark.parametrize("r", range(2, 7))
 def test_conv_power_matches_closed_form_across_table_blocks(r):
-    # n straddles the 64-coefficient blocks the OGF power lists are kept in; from
-    # empty lists, r..1 descending grows each list to r at once and 1..6
-    # ascending then reads it and grows it one power at a time
+    # from empty registries, r..1 descending and then 1..6 ascending, each n
+    # both extends a coefficient list and reads one already built
     clear_caches()
     for k in (*range(r, 0, -1), *range(1, 7)):
         for n in (63, 64, 65, 127, 128, 129):
@@ -171,13 +205,34 @@ def test_conv_power_matches_closed_form_across_table_blocks(r):
             assert got == want
 
 
-def test_stored_ogf_powers_are_truncated_to_their_list_order():
-    # f^k * f is trusted one order past f^k; the list keeps only what n < 64 reads
+def test_ogf_power_registry_holds_p_power_and_one_coefficient_list():
+    # one entry per (params, r): the 2r + 1 trinomial coefficients of
+    # P^r = (1 - a x - b x^2)^r and the list of [x^m] f^r for m = 0..n
     clear_caches()
-    assert conv_power(BALANCING, 50, 60) == rhs_general_plain(50, 60)
-    powers = identities._ogf_power(BALANCING, 64)
-    assert len(powers) == 50
-    assert all(p.order == 64 for p in powers)
+    for (a, b), r in (((6, -1), 1), ((6, -1), 5), ((-3, -2), 9), ((2, 7), 4)):
+        params = SeqParams(a, b)
+        p, g = identities._ogf_power(params, r)
+        assert p == tuple(
+            sum(comb(r, k) * comb(r - k, d - 2 * k) * (-a) ** (d - 2 * k) * (-b) ** k for k in range(d // 2 + 1))
+            for d in range(2 * r + 1)
+        )
+        # a request for n leaves exactly n + 1 entries; a smaller one reads them
+        for n, entries in ((r + 3, r + 4), (r + 70, r + 71), (r + 20, r + 71)):
+            conv_power(params, r, n)
+            assert len(g) == entries
+    # no per-order lists: requests at many n share one entry per (params, r)
+    assert identities._ogf_power.cache_info().currsize == 4
+    assert all(type(c) is int for c in g)
+
+
+@pytest.mark.parametrize("params", [BALANCING, SeqParams(-3, -2)])
+def test_conv_power_matches_series_cauchy_product(params):
+    # a Cauchy-product power of the OGF, read across the old 64 and 128 block edges
+    clear_caches()
+    f = ogf(params, 150)
+    for r in range(1, 7):
+        power = f.pow(r)
+        assert [conv_power(params, r, n) for n in range(151)] == list(power.coeffs[:151])
 
 
 @given(series_st, series_st)

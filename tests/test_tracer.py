@@ -20,9 +20,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 #: Test id -> argv.  The halved Lucas-balancing fold, the fold level that
-#: general-u's closed form shares with its oracle, an OGF power built in the
-#: order-128 list, and a sweep across a 64-block (two power lists in one
-#: process) run under the tracer too.
+#: general-u's closed form shares with its oracle, a plain convolution read
+#: from its coefficient list, and a sweep that extends that list one n at a
+#: time run under the tracer too.
 ARGVS = {
     "seq": ["seq", "--kind", "lucas-balancing", "--to", "6"],
     "conv": ["conv", "--kind", "v", "--a", "1", "--b", "2", "--r", "3", "--n", "9", "--binomial"],
