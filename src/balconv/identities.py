@@ -2,10 +2,11 @@
 
 Each catalog entry pairs a brute-force left-hand side (a convolution computed
 directly: a coefficient of the OGF power x^r / P^r read from the recurrence
-whose characteristic polynomial is P^r, a binomial-weighted fold, or a literal
-sum of products) with a closed-form right-hand side evaluated in integers; a
-closed form that divides does so with :func:`exact_div`, which raises on a
-remainder.
+whose characteristic polynomial is P^r, a binomial-weighted fold that is
+literal up to index r and then read from the recurrence the EGF power E^r
+obeys, or a literal sum of products) with a closed-form right-hand side
+evaluated in integers; a closed form that divides does so with
+:func:`exact_div`, which raises on a remainder.
 :func:`verify_identity` sweeps a range of n and reports every mismatch with an
 exact witness.
 
@@ -95,8 +96,8 @@ PARAM_GRID: tuple[SeqParams, ...] = (
 
 def clear_caches() -> None:
     """Drop every memoized value: the P^r coefficient lists of the plain convolutions, the
-    S_2 pair sums, folds and their Pascal rows, binomials and sequence tables, including
-    the derived-parameter tables."""
+    S_2 pair sums, fold levels with their recurrence weights and Pascal rows, binomials
+    and sequence tables, including the derived-parameter tables."""
     for cached in (_ogf_power, _pair_square, _binom_fold, combinatorics.binom):
         cached.cache_clear()
     _pascal_rows.clear()
@@ -224,45 +225,79 @@ _pascal_rows: dict[tuple[SeqParams, str], tuple[int, list[int]]] = {}
 
 
 @lru_cache(maxsize=None)
-def _binom_fold(params: SeqParams, which: str, r: int) -> list[int]:
-    # Registry of the grow-only fold levels r >= 2; only _fold_levels appends to them.
-    return []
+def _binom_fold(params: SeqParams, which: str, r: int) -> tuple[list[int], list[int]]:
+    # Registry of (recurrence weights of level r, filled the first time it grows past
+    # index r; grow-only fold level r >= 2), like _ogf_power's (P^r, list); only
+    # _fold_levels writes to them.
+    return [], []
+
+
+def _ode_weights(params: SeqParams, r: int) -> list[int]:
+    """[w_{r+1}, ..., w_1] with det(x - M) = x^{r+1} - sum_{i=1}^{r+1} w_i x^{r+1-i}.
+
+    M is the matrix of D = d/dx on E^{r-i} F^i (i = 0..r), F = E', which
+    E'' = a E' + b E makes tridiagonal: D(E^{r-i} F^i) = (r-i) E^{r-i-1} F^{i+1}
+    + i a E^{r-i} F^i + i b E^{r-i+1} F^{i-1}.  Its characteristic polynomial
+    is the continuant p_{i+1} = (x - i a) p_i - (r-i+1) i b p_{i-1}, p_0 = 1,
+    p_1 = x, kept as integer coefficient lists, highest degree first.
+    """
+    a, b = params.a, params.b
+    before, p = [1], [1, 0]
+    for i in range(1, r + 1):
+        c = (r - i + 1) * i * b
+        shifted = zip([*p, 0], [0, *p], [0, 0, *before])  # x p_i, p_i, p_{i-1} aligned
+        before, p = p, [s - i * a * t - c * q for s, t, q in shifted]
+    return [-w for w in reversed(p[1:])]
 
 
 def _fold_levels(params: SeqParams, which: str, r: int, n: int) -> list[int]:
     """Level r of the ``which``-sequence fold, grown to hold index n.
 
     Level 1 is the sequence's own cached list (:func:`terms`); level k is
-    (level k-1) @ (level 1) with (f @ g)_m = sum_j C(m,j) f_j g_{m-j}.  Levels
-    grow only by appending, under a lock, so none is shorter than a level
-    above it.  Entry m is added to every level 2..r that lacks it before
-    entry m + 1 to any, as sum_j prev_j * (C(m,j) base_{m-j}), the bracket
-    shared by those levels.  C(m, .) is the key's carried Pascal row: reused
-    at its own m, advanced by one pass of additions to the next, and seeded
-    from :func:`math.comb` at any other m.
+    (level k-1) @ (level 1) with (f @ g)_m = sum_j C(m,j) f_j g_{m-j}, that
+    is m! [x^m] E^k for E the sequence's EGF.  Levels grow only by appending,
+    under a lock.  Up to index min(n, r) the fold is literal: entry m is
+    added to every level 2..r that lacks it before entry m + 1 to any, as
+    sum_j prev_j * (C(m,j) base_{m-j}), the bracket shared by those levels.
+    C(m, .) is the key's carried Pascal row: reused at its own m, advanced
+    by one pass of additions to the next, and seeded from :func:`math.comb`
+    at any other m.  Past index r, level r alone grows by
+    h_m = sum_{i=1}^{r+1} w_i h_{m-i}: E^r lies in the (r+1)-dimensional
+    span of E^{r-i} (E')^i, which d/dx maps to itself, so E^r obeys the
+    linear ODE det(D - M) E^r = 0 (:func:`_ode_weights`).  The weights depend
+    on a, b and r alone, are made once per key the first time level r grows
+    past index r, and never come from the closed forms' derived pairs.  The
+    window stops at min(n, r), so a large r with a small n builds no more
+    than the literal fold would.
     """
     base = terms(params, which, n)
     if r == 1:
         return base
-    top = _binom_fold(params, which, r)
+    weights, top = _binom_fold(params, which, r)
     if n < len(top):
         return top
     with _table_lock:
-        levels = [base] + [_binom_fold(params, which, k) for k in range(2, r + 1)]
-        carried, row = _pascal_rows.get((params, which), (None, []))
-        for m in range(len(levels[-1]), n + 1):
-            if m != carried:
-                if carried is not None and m == carried + 1:
-                    row = [1, *map(add, row, row[1:]), 1]
-                else:
-                    row = [comb(m, j) for j in range(m + 1)]
-                carried = m
-            weights = list(map(mul, row, base[m::-1]))
-            for prev, level in zip(levels, levels[1:]):
-                if len(level) == m:
-                    level.append(sum(map(mul, weights, prev)))
-        _pascal_rows[params, which] = carried, row
-    return levels[-1]
+        window = min(n, r)
+        if len(top) <= window:
+            levels = [base] + [_binom_fold(params, which, k)[1] for k in range(2, r + 1)]
+            carried, row = _pascal_rows.get((params, which), (None, []))
+            for m in range(min(map(len, levels[1:])), window + 1):
+                if m != carried:
+                    if carried is not None and m == carried + 1:
+                        row = [1, *map(add, row, row[1:]), 1]
+                    else:
+                        row = [comb(m, j) for j in range(m + 1)]
+                    carried = m
+                bracket = list(map(mul, row, base[m::-1]))
+                for prev, level in zip(levels, levels[1:]):
+                    if len(level) == m:
+                        level.append(sum(map(mul, bracket, prev)))
+            _pascal_rows[params, which] = carried, row
+        if len(top) <= n and not weights:
+            weights.extend(_ode_weights(params, r))
+        for m in range(len(top), n + 1):
+            top.append(sum(map(mul, weights, top[m - r - 1:m])))
+    return top
 
 
 def _binom_conv(name: str, params: SeqParams, which: str, r: int, n: int) -> int:
@@ -397,11 +432,12 @@ def rhs_general_plain(r: int, n: int) -> int:
         raise ValueError(f"rhs_general_plain: r must be >= 2, got {r}")
     if n < r:
         raise ValueError(f"rhs_general_plain: n must be >= r = {r}, got {n}")
+    B = terms(BALANCING, "u", n)
     total = sum(
         binom(n - m - 1, r - 2)
         * binom(m + r - 2, r - 2)
         * (n - 2 * m - r + 1)
-        * balancing(n - 2 * m - r + 1)
+        * B[n - 2 * m - r + 1]
         for m in range((n - r + 1) // 2 + 1)
     )
     return exact_div(total, r - 1)

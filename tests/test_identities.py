@@ -381,40 +381,152 @@ def _literal_comb_fold(seq, r, n):
 
 
 def test_binom_fold_carries_and_reseeds_its_pascal_row():
-    # each request continues the key's carried row (starts one past its m), reuses it
-    # (starts at its m) or reseeds it (a first call, a higher r catching up below the
-    # frontier, a lower r)
+    # the literal window of a request for (r, n) ends at index min(n, r); after it the
+    # key's row is C(m, .) at the last index m it built.  A window continues the carried
+    # row (starts one past its m), reuses it (starts at its m) or reseeds it (a first
+    # call, a higher r building its new levels from 0, a start above the row); a request
+    # whose window is already built only extends level r by its recurrence
     other = SeqParams(1, 2)
-    requests = [
-        (BALANCING, "u", 3, 70),  # first call: seeds at m = 0
-        (BALANCING, "u", 3, 140),  # continues at 71, crossing 128
-        (BALANCING, "v", 4, 65),  # same params, other sequence: its own row
-        (BALANCING, "u", 5, 100),  # higher r catching up from 0, below the frontier 140
-        (BALANCING, "u", 2, 150),  # lower r: starts at 141, the row is at 100
-        (BALANCING, "v", 4, 66),  # continues at 66
-        (other, "u", 4, 63),
-        (BALANCING, "u", 5, 129),  # starts at 101, the row is at 150
-        (other, "u", 2, 130),  # lower r crossing 64 and 128
-        (other, "u", 4, 64),  # starts at 64, the row is at 130
-        (BALANCING, "u", 5, 130),  # continues at 130
-        (BALANCING, "v", 2, 129),  # lower r, continues at 67
-        (other, "u", 3, 130),  # continues at 65 after the lower r reseeded at 64
-        (other, "u", 2, 131),  # continues at 131
-        (other, "u", 3, 133),  # starts at 131, the m of the carried row: reused as is
+    requests = [  # (params, which, r, n, the m of the row afterwards)
+        (BALANCING, "u", 3, 70, 3),  # first call: seeds at m = 0, window 0..3
+        (BALANCING, "u", 3, 140, 3),  # window built: recurrence only, crossing 128
+        (BALANCING, "v", 4, 65, 4),  # same params, other sequence: its own row
+        (BALANCING, "u", 5, 100, 5),  # higher r: levels 4 and 5 reseed at 0
+        (BALANCING, "u", 2, 150, 5),  # lower r: recurrence only
+        (BALANCING, "v", 4, 66, 4),
+        (other, "u", 4, 63, 4),
+        (BALANCING, "u", 5, 129, 5),
+        (other, "u", 2, 130, 4),  # lower r crossing 64 and 128
+        (other, "u", 4, 64, 4),
+        (BALANCING, "u", 5, 130, 5),
+        (BALANCING, "v", 2, 129, 4),
+        (other, "u", 3, 130, 4),
+        (other, "u", 2, 131, 4),
+        (other, "u", 3, 133, 4),
+        # out of order, n <= r: carry and reseed inside the window
+        (other, "v", 8, 2, 2),  # first call: seeds at 0, window 0..2
+        (other, "v", 3, 3, 3),  # levels 2, 3 continue at 3
+        (other, "v", 8, 8, 8),  # levels 4..8 start at 3, the m of the row: reused
+        (other, "v", 9, 0, 0),  # level 9 reseeds at 0
+        (other, "v", 9, 5, 5),  # continues at 1
+        (other, "v", 10, 4, 4),  # level 10 reseeds at 0
+        (other, "v", 7, 7, 4),  # window built: nothing new
+        (other, "v", 10, 7, 7),  # levels 9 and 10 continue at 5
+        (other, "v", 11, 1, 1),  # level 11 reseeds at 0
+        (other, "v", 10, 10, 10),  # starts at 8, above the row at 1: reseeds at 8
+        (other, "v", 10, 30, 10),  # recurrence only
+        (other, "v", 11, 12, 11),  # level 11 reseeds at 2 under the row at 10, then n = 12
+        (other, "v", 11, 9, 11),  # already built: a lookup
     ]
     want = {}
-    for params, which, _, _ in requests:
+    for params, which, _, _, _ in requests:
         if (params, which) not in want:
-            seq = sequences.terms(params, which, 150)
-            want[params, which] = _literal_comb_fold(seq, 5, 150)
+            r_max = max(r for p, w, r, _, _ in requests if (p, w) == (params, which))
+            n_max = max(n for p, w, _, n, _ in requests if (p, w) == (params, which))
+            seq = sequences.terms(params, which, n_max)
+            want[params, which] = _literal_comb_fold(seq, r_max, n_max)
     clear_caches()
-    for params, which, r, n in requests:
+    for params, which, r, n, row_m in requests:
         got = identities._fold_levels(params, which, r, n)
         for k in range(1, r + 1):
             level = identities._fold_levels(params, which, k, n)
             assert level[: n + 1] == want[params, which][k - 1][: n + 1], (params, which, r, n, k)
         assert got[n] == want[params, which][r - 1][n]
-        assert identities._pascal_rows[params, which] == (n, [comb(n, j) for j in range(n + 1)])
+        row = [comb(row_m, j) for j in range(row_m + 1)]
+        assert identities._pascal_rows[params, which] == (row_m, row), (params, which, r, n)
+
+
+#: Fold parameters: PARAM_GRID, the sweep-binomial strata with both signs of a, a = 0, b = 0.
+_FOLD_PARAMS = list(dict.fromkeys([
+    *PARAM_GRID,
+    *(SeqParams(s * a, b) for a, b in ((2, 3), (4, -3), (1, 6), (5, -6)) for s in (1, -1)),
+    SeqParams(0, 1),
+    SeqParams(3, 0),
+]))
+
+
+@pytest.mark.parametrize("params", _FOLD_PARAMS, ids=str)
+def test_binom_fold_recurrence_matches_literal_fold(params):
+    # past index r each level grows by its ODE recurrence; requests come out of order and
+    # cross indices r and r + 1, so levels extended by their own recurrence feed the
+    # literal window of a higher r
+    seqs = {which: sequences.terms(params, which, 120) for which in "uv"}
+    want = {which: _literal_comb_fold(seq, 8, 120) for which, seq in seqs.items()}
+    clear_caches()
+    for r in (5, 2, 8, 3, 7, 4, 6):
+        for n in (r + 1, r, 0, 120, r - 1, r + 2, 2 * r):
+            assert binom_conv_u(params, r, n) == want["u"][r - 1][n], (r, n)
+            assert binom_conv_v(params, r, n) == want["v"][r - 1][n], (r, n)
+    for r in range(2, 9):
+        assert [binom_conv_u(params, r, n) for n in range(121)] == want["u"][r - 1]
+        assert [binom_conv_v(params, r, n) for n in range(121)] == want["v"][r - 1]
+    for r in range(2, 9):  # composition enumeration across the window's edge
+        for n in range(r + 3):
+            want_u = _binom_conv_by_enumeration(seqs["u"].__getitem__, r, n, 1)
+            assert want["u"][r - 1][n] == want_u
+        for n in range(r, r + 2):
+            want_v = _binom_conv_by_enumeration(seqs["v"].__getitem__, r, n, 0)
+            assert want["v"][r - 1][n] == want_v
+
+
+def test_binom_conv_c_recurrence_matches_literal_fold():
+    seq = [lucas_balancing(k) for k in range(121)]
+    want = _literal_comb_fold(seq, 8, 120)
+    clear_caches()
+    for r in (8, 2, 5, 3, 7, 6, 4):
+        for n in (r + 1, 120, r, 0, r + 2, 57):
+            assert binom_conv_c(r, n) == want[r - 1][n], (r, n)
+    for r in range(2, 9):
+        assert [binom_conv_c(r, n) for n in range(121)] == want[r - 1]
+        for n in range(r, r + 2):
+            assert want[r - 1][n] == _binom_conv_by_enumeration(lucas_balancing, r, n, 0)
+
+
+def _poly_mul(p, q):
+    # product of two coefficient lists, highest degree first
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def test_ode_weights_are_the_product_of_the_derived_lucas_pairs():
+    # det(x - M) has the roots (r - j) alpha + j beta, j = 0..r: the pairs j, r - j give
+    # x^2 - r a x + a^2 j(r-j) - (r-2j)^2 b, and even r adds the root a r / 2
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            if a * a + 4 * b == 0:
+                continue
+            params = SeqParams(a, b)
+            for r in range(1, 10):
+                det = [1]
+                for j in range((r + 1) // 2):
+                    det = _poly_mul(det, [1, -r * a, a * a * j * (r - j) - (r - 2 * j) ** 2 * b])
+                if r % 2 == 0:
+                    det = _poly_mul(det, [1, -a * r // 2])
+                weights = identities._ode_weights(params, r)
+                assert [1, *(-w for w in reversed(weights))] == det, (a, b, r)
+
+
+def test_binom_fold_builds_literally_only_up_to_index_r(monkeypatch):
+    # math.comb only seeds Pascal rows of the literal window, which stops at min(n, r)
+    seeded = []
+    monkeypatch.setattr(identities, "comb", lambda m, j: seeded.append(m) or comb(m, j))
+    params = SeqParams(2, 3)
+    clear_caches()
+    want = rhs_multinom_u(params, 5, 2000)
+    seeded.clear()
+    assert binom_conv_u(params, 5, 2000) == want
+    assert seeded and max(seeded) <= 5
+    assert [len(identities._binom_fold(params, "u", k)[1]) for k in range(2, 6)] == [6, 6, 6, 2001]
+    assert identities._pascal_rows[params, "u"][0] == 5
+    seeded.clear()
+    binom_conv_v(FIBONACCI, 1200, 3)
+    assert seeded and max(seeded) <= 3
+    for k in range(2, 1201):
+        weights, level = identities._binom_fold(FIBONACCI, "v", k)
+        assert (weights, len(level)) == ([], 4)
 
 
 def test_binom_conv_rejects_bad_args():
