@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from operator import add, mul
+from operator import mul
 from typing import Callable, Iterator
 
 from . import combinatorics, sequences
@@ -96,11 +96,10 @@ PARAM_GRID: tuple[SeqParams, ...] = (
 
 def clear_caches() -> None:
     """Drop every memoized value: the P^r coefficient lists of the plain convolutions, the
-    S_2 pair sums, fold levels with their recurrence weights and Pascal rows, binomials
-    and sequence tables, including the derived-parameter tables."""
+    S_2 pair sums, fold levels with their recurrence weights, binomials and sequence
+    tables, including the derived-parameter tables."""
     for cached in (_ogf_power, _pair_square, _binom_fold, combinatorics.binom):
         cached.cache_clear()
-    _pascal_rows.clear()
     sequences._tables.clear()
 
 
@@ -219,11 +218,6 @@ def pair_plain_sum(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-#: (params, which) -> (m, [C(m, 0), ..., C(m, m)]): the Pascal row the fold of
-#: that key used last, carried to the next m; read and written under _table_lock.
-_pascal_rows: dict[tuple[SeqParams, str], tuple[int, list[int]]] = {}
-
-
 @lru_cache(maxsize=None)
 def _binom_fold(params: SeqParams, which: str, r: int) -> tuple[list[int], list[int]]:
     # Registry of (recurrence weights of level r, filled the first time it grows past
@@ -258,17 +252,15 @@ def _fold_levels(params: SeqParams, which: str, r: int, n: int) -> list[int]:
     is m! [x^m] E^k for E the sequence's EGF.  Levels grow only by appending,
     under a lock.  Up to index min(n, r) the fold is literal: entry m is
     added to every level 2..r that lacks it before entry m + 1 to any, as
-    sum_j prev_j * (C(m,j) base_{m-j}), the bracket shared by those levels.
-    C(m, .) is the key's carried Pascal row: reused at its own m, advanced
-    by one pass of additions to the next, and seeded from :func:`math.comb`
-    at any other m.  Past index r, level r alone grows by
-    h_m = sum_{i=1}^{r+1} w_i h_{m-i}: E^r lies in the (r+1)-dimensional
-    span of E^{r-i} (E')^i, which d/dx maps to itself, so E^r obeys the
-    linear ODE det(D - M) E^r = 0 (:func:`_ode_weights`).  The weights depend
-    on a, b and r alone, are made once per key the first time level r grows
-    past index r, and never come from the closed forms' derived pairs.  The
-    window stops at min(n, r), so a large r with a small n builds no more
-    than the literal fold would.
+    sum_j prev_j * (C(m,j) base_{m-j}), the bracket shared by those levels,
+    with C(m, .) from :func:`math.comb` once per index.  Past index r, level r
+    alone grows by h_m = sum_{i=1}^{r+1} w_i h_{m-i}: E^r lies in the
+    (r+1)-dimensional span of E^{r-i} (E')^i, which d/dx maps to itself, so
+    E^r obeys the linear ODE det(D - M) E^r = 0 (:func:`_ode_weights`).  The
+    weights depend on a, b and r alone, are made once per key the first time
+    level r grows past index r, and never come from the closed forms' derived
+    pairs.  The window stops at min(n, r), so a large r with a small n builds
+    no more than the literal fold would.
     """
     base = terms(params, which, n)
     if r == 1:
@@ -280,19 +272,11 @@ def _fold_levels(params: SeqParams, which: str, r: int, n: int) -> list[int]:
         window = min(n, r)
         if len(top) <= window:
             levels = [base] + [_binom_fold(params, which, k)[1] for k in range(2, r + 1)]
-            carried, row = _pascal_rows.get((params, which), (None, []))
             for m in range(min(map(len, levels[1:])), window + 1):
-                if m != carried:
-                    if carried is not None and m == carried + 1:
-                        row = [1, *map(add, row, row[1:]), 1]
-                    else:
-                        row = [comb(m, j) for j in range(m + 1)]
-                    carried = m
-                bracket = list(map(mul, row, base[m::-1]))
+                bracket = [comb(m, j) * base[m - j] for j in range(m + 1)]
                 for prev, level in zip(levels, levels[1:]):
                     if len(level) == m:
                         level.append(sum(map(mul, bracket, prev)))
-            _pascal_rows[params, which] = carried, row
         if len(top) <= n and not weights:
             weights.extend(_ode_weights(params, r))
         for m in range(len(top), n + 1):
@@ -759,7 +743,10 @@ def clamp_to_domain(identity: IdentityId, r: int, lo: int | None, hi: int) -> tu
     if lo is not None and lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
     if hi < n_min:
-        asked = f"n <= {hi}" if lo is None else f"range [{lo}, {hi}]"
+        if lo is None:
+            asked = f"n <= {hi}"
+        else:
+            asked = f"n = {hi}" if lo == hi else f"range [{lo}, {hi}]"
         raise ValueError(f"{asked} lies below the domain of {identity.value}: n >= {n_min}")
     return (n_min if lo is None else max(lo, n_min)), hi
 

@@ -268,7 +268,9 @@ def test_closed_honours_each_identity_domain(identity, r):
     assert invoke([*argv, str(n_min)]) == (0, f"{info.rhs(params, r, n_min)}\n", "")
     if n_min >= 1:
         code, out, err = invoke([*argv, str(n_min - 1)])
-        assert (code, out) == (2, "") and err.endswith(f"{identity.value}: n >= {n_min}\n")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: n = {n_min - 1} lies below the domain of ")
+        assert err.endswith(f"{identity.value}: n >= {n_min}\n")
         with pytest.raises(ValueError):  # the closed form's own guard draws the same line
             info.rhs(params, r, n_min - 1)
 

@@ -3,13 +3,14 @@ import threading
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, prod
+from operator import add
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import balconv
-from balconv import identities, sequences
+from balconv import combinatorics, identities, sequences, series
 from balconv.combinatorics import IntegralityError, binom
 from balconv.identities import (
     CATALOG,
@@ -380,60 +381,56 @@ def _literal_comb_fold(seq, r, n):
     return levels
 
 
-def test_binom_fold_carries_and_reseeds_its_pascal_row():
-    # the literal window of a request for (r, n) ends at index min(n, r); after it the
-    # key's row is C(m, .) at the last index m it built.  A window continues the carried
-    # row (starts one past its m), reuses it (starts at its m) or reseeds it (a first
-    # call, a higher r building its new levels from 0, a start above the row); a request
-    # whose window is already built only extends level r by its recurrence
+def test_binom_fold_levels_grow_out_of_order_like_the_literal_fold():
+    # the literal window of a request for (r, n) ends at index min(n, r); a request either
+    # continues the levels it shares with earlier ones, builds a higher r's new levels from
+    # 0, or, once its window is built, only extends level r by its recurrence
     other = SeqParams(1, 2)
-    requests = [  # (params, which, r, n, the m of the row afterwards)
-        (BALANCING, "u", 3, 70, 3),  # first call: seeds at m = 0, window 0..3
-        (BALANCING, "u", 3, 140, 3),  # window built: recurrence only, crossing 128
-        (BALANCING, "v", 4, 65, 4),  # same params, other sequence: its own row
-        (BALANCING, "u", 5, 100, 5),  # higher r: levels 4 and 5 reseed at 0
-        (BALANCING, "u", 2, 150, 5),  # lower r: recurrence only
-        (BALANCING, "v", 4, 66, 4),
-        (other, "u", 4, 63, 4),
-        (BALANCING, "u", 5, 129, 5),
-        (other, "u", 2, 130, 4),  # lower r crossing 64 and 128
-        (other, "u", 4, 64, 4),
-        (BALANCING, "u", 5, 130, 5),
-        (BALANCING, "v", 2, 129, 4),
-        (other, "u", 3, 130, 4),
-        (other, "u", 2, 131, 4),
-        (other, "u", 3, 133, 4),
-        # out of order, n <= r: carry and reseed inside the window
-        (other, "v", 8, 2, 2),  # first call: seeds at 0, window 0..2
-        (other, "v", 3, 3, 3),  # levels 2, 3 continue at 3
-        (other, "v", 8, 8, 8),  # levels 4..8 start at 3, the m of the row: reused
-        (other, "v", 9, 0, 0),  # level 9 reseeds at 0
-        (other, "v", 9, 5, 5),  # continues at 1
-        (other, "v", 10, 4, 4),  # level 10 reseeds at 0
-        (other, "v", 7, 7, 4),  # window built: nothing new
-        (other, "v", 10, 7, 7),  # levels 9 and 10 continue at 5
-        (other, "v", 11, 1, 1),  # level 11 reseeds at 0
-        (other, "v", 10, 10, 10),  # starts at 8, above the row at 1: reseeds at 8
-        (other, "v", 10, 30, 10),  # recurrence only
-        (other, "v", 11, 12, 11),  # level 11 reseeds at 2 under the row at 10, then n = 12
-        (other, "v", 11, 9, 11),  # already built: a lookup
+    requests = [  # (params, which, r, n)
+        (BALANCING, "u", 3, 70),  # first call: window 0..3
+        (BALANCING, "u", 3, 140),  # window built: recurrence only, crossing 128
+        (BALANCING, "v", 4, 65),  # same params, other sequence: its own levels
+        (BALANCING, "u", 5, 100),  # higher r: levels 4 and 5 start at 0
+        (BALANCING, "u", 2, 150),  # lower r: recurrence only
+        (BALANCING, "v", 4, 66),
+        (other, "u", 4, 63),
+        (BALANCING, "u", 5, 129),
+        (other, "u", 2, 130),  # lower r crossing 64 and 128
+        (other, "u", 4, 64),
+        (BALANCING, "u", 5, 130),
+        (BALANCING, "v", 2, 129),
+        (other, "u", 3, 130),
+        (other, "u", 2, 131),
+        (other, "u", 3, 133),
+        # out of order, n <= r: levels of one key at different lengths inside the window
+        (other, "v", 8, 2),  # first call: window 0..2
+        (other, "v", 3, 3),  # levels 2, 3 continue at 3
+        (other, "v", 8, 8),  # levels 4..8 continue at 3, levels 2, 3 at 4
+        (other, "v", 9, 0),  # level 9 starts at 0
+        (other, "v", 9, 5),  # level 9 continues at 1
+        (other, "v", 10, 4),  # level 10 starts at 0
+        (other, "v", 7, 7),  # window built: nothing new
+        (other, "v", 10, 7),  # level 10 continues at 5, level 9 at 6
+        (other, "v", 11, 1),  # level 11 starts at 0
+        (other, "v", 10, 10),  # levels 9, 10 continue at 8, levels 2..8 at 9
+        (other, "v", 10, 30),  # recurrence only
+        (other, "v", 11, 12),  # level 11 continues at 2, levels 2..9 at 11; then n = 12
+        (other, "v", 11, 9),  # already built: a lookup
     ]
     want = {}
-    for params, which, _, _, _ in requests:
+    for params, which, _, _ in requests:
         if (params, which) not in want:
-            r_max = max(r for p, w, r, _, _ in requests if (p, w) == (params, which))
-            n_max = max(n for p, w, _, n, _ in requests if (p, w) == (params, which))
+            r_max = max(r for p, w, r, _ in requests if (p, w) == (params, which))
+            n_max = max(n for p, w, _, n in requests if (p, w) == (params, which))
             seq = sequences.terms(params, which, n_max)
             want[params, which] = _literal_comb_fold(seq, r_max, n_max)
     clear_caches()
-    for params, which, r, n, row_m in requests:
+    for params, which, r, n in requests:
         got = identities._fold_levels(params, which, r, n)
         for k in range(1, r + 1):
             level = identities._fold_levels(params, which, k, n)
             assert level[: n + 1] == want[params, which][k - 1][: n + 1], (params, which, r, n, k)
         assert got[n] == want[params, which][r - 1][n]
-        row = [comb(row_m, j) for j in range(row_m + 1)]
-        assert identities._pascal_rows[params, which] == (row_m, row), (params, which, r, n)
 
 
 #: Fold parameters: PARAM_GRID, the sweep-binomial strata with both signs of a, a = 0, b = 0.
@@ -510,7 +507,7 @@ def test_ode_weights_are_the_product_of_the_derived_lucas_pairs():
 
 
 def test_binom_fold_builds_literally_only_up_to_index_r(monkeypatch):
-    # math.comb only seeds Pascal rows of the literal window, which stops at min(n, r)
+    # math.comb is called only for the literal window's brackets, which stop at min(n, r)
     seeded = []
     monkeypatch.setattr(identities, "comb", lambda m, j: seeded.append(m) or comb(m, j))
     params = SeqParams(2, 3)
@@ -520,7 +517,6 @@ def test_binom_fold_builds_literally_only_up_to_index_r(monkeypatch):
     assert binom_conv_u(params, 5, 2000) == want
     assert seeded and max(seeded) <= 5
     assert [len(identities._binom_fold(params, "u", k)[1]) for k in range(2, 6)] == [6, 6, 6, 2001]
-    assert identities._pascal_rows[params, "u"][0] == 5
     seeded.clear()
     binom_conv_v(FIBONACCI, 1200, 3)
     assert seeded and max(seeded) <= 3
@@ -544,17 +540,22 @@ _BINOMIAL_STRATA = [SeqParams(s * a, b) for a, b in ((2, 3), (4, -3), (1, 6), (5
 
 
 @pytest.mark.parametrize("params", _BINOMIAL_STRATA, ids=str)
-def test_weighted_binomial_sum_matches_literal_formula(params):
-    # sum_k C(n,k) p^(n-k) q^k w_k with math.comb and ** (0**0 == 1), p or q negative, p zero
+def test_binomial_lucas_matches_literal_inner_sum(params):
+    # sum_k C(n,k) p^(n-k) q^k w_k term by term (0**0 == 1), p or q negative, p zero;
+    # one Pascal row per n and one power list per (p, q)
+    rows = [[1]]
+    for _ in range(80):
+        rows.append([1, *map(add, rows[-1], rows[-1][1:]), 1])
     clear_caches()
     for which, term in (("u", u), ("v", v)):
+        w = [term(params, k) for k in range(81)]
         for p in range(-3, 8):
+            p_pow = [p**j for j in range(81)]
             for q in (-2, 1, 2, 5, 8):
-                for n in range(81):
+                qw = [q**k * w_k for k, w_k in enumerate(w)]
+                for n, row in enumerate(rows):
                     got = identities._binomial_lucas(params, which, p, q, n)
-                    assert got == sum(
-                        comb(n, k) * p ** (n - k) * q**k * term(params, k) for k in range(n + 1)
-                    )
+                    assert got == sum(row[k] * p_pow[n - k] * qw[k] for k in range(n + 1))
         # q = 0 gives the derived pair a zero discriminant; no closed form passes it
         with pytest.raises(ValueError, match="discriminant"):
             identities._binomial_lucas(params, which, 2, 0, 5)
@@ -803,15 +804,23 @@ def test_clear_caches_drops_every_memo():
     binom_conv_v(FIBONACCI, 2, 5)
     binom(9, 4)
     pair_plain_sum(12)
-    assert identities._pascal_rows and sequences._tables
-    assert identities._ogf_power.cache_info().currsize > 0
-    assert identities._pair_square.cache_info().currsize > 0
+    # every memo in the package's modules, so one added later but not cleared fails here
+    memos = {
+        f"{module.__name__}.{name}": cached
+        for module in (identities, combinatorics, sequences, series)
+        for name, cached in vars(module).items()
+        if hasattr(cached, "cache_clear")
+    }
+    assert {
+        *(f"balconv.identities.{name}" for name in ("_ogf_power", "_pair_square", "_binom_fold")),
+        "balconv.combinatorics.binom",
+    } <= set(memos)
+    assert sequences._tables
+    for name, cached in memos.items():
+        assert cached.cache_info().currsize > 0, name
     clear_caches()
-    assert binom.cache_info().currsize == 0
-    assert identities._ogf_power.cache_info().currsize == 0
-    assert identities._pair_square.cache_info().currsize == 0
-    assert identities._binom_fold.cache_info().currsize == 0
-    assert not identities._pascal_rows
+    for name, cached in memos.items():
+        assert cached.cache_info().currsize == 0, name
     assert not sequences._tables
     assert conv_power(BALANCING, 3, 10) == rhs_general_plain(3, 10)
     assert binom_conv_v(FIBONACCI, 2, 5) == rhs_multinom_v(FIBONACCI, 2, 5)
