@@ -2,10 +2,10 @@
 
 Each catalog entry pairs a brute-force left-hand side (a convolution computed
 directly: a coefficient of the OGF power x^r / P^r read from the recurrence
-whose characteristic polynomial is P^r, a binomial-weighted fold that is
-literal up to index r and then read from the recurrence the EGF power E^r
-obeys, or a literal sum of products) with a closed-form right-hand side
-evaluated in integers; a closed form that divides does so with
+whose characteristic polynomial is P^r, a binomial-weighted fold m! [x^m] E^r
+seeded up to index r from the sequence alone and then read from the
+recurrence E^r obeys, or a literal sum of products) with a closed-form
+right-hand side evaluated in integers; a closed form that divides does so with
 :func:`exact_div`, which raises on a remainder.
 :func:`verify_identity` sweeps a range of n and reports every mismatch with an
 exact witness.
@@ -23,7 +23,7 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 from operator import mul
 from typing import Callable, Iterator
 
@@ -96,7 +96,7 @@ PARAM_GRID: tuple[SeqParams, ...] = (
 
 def clear_caches() -> None:
     """Drop every memoized value: the P^r coefficient lists of the plain convolutions, the
-    S_2 pair sums, fold levels with their recurrence weights, binomials and sequence
+    S_2 pair sums, the fold lists with their recurrence weights, binomials and sequence
     tables, including the derived-parameter tables."""
     for cached in (_ogf_power, _pair_square, _binom_fold, combinatorics.binom):
         cached.cache_clear()
@@ -220,9 +220,9 @@ def pair_plain_sum(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _binom_fold(params: SeqParams, which: str, r: int) -> tuple[list[int], list[int]]:
-    # Registry of (recurrence weights of level r, filled the first time it grows past
-    # index r; grow-only fold level r >= 2), like _ogf_power's (P^r, list); only
-    # _fold_levels writes to them.
+    # Registry of (recurrence weights, filled the first time the list grows past index r;
+    # grow-only list of m! [x^m] E^r, r >= 2), like _ogf_power's (P^r, list); only
+    # _fold_levels writes to them, and no key reads another key's list.
     return [], []
 
 
@@ -245,22 +245,21 @@ def _ode_weights(params: SeqParams, r: int) -> list[int]:
 
 
 def _fold_levels(params: SeqParams, which: str, r: int, n: int) -> list[int]:
-    """Level r of the ``which``-sequence fold, grown to hold index n.
+    """The r-fold binomial convolution h_m = m! [x^m] E^r for m = 0..n, E the EGF of w.
 
-    Level 1 is the sequence's own cached list (:func:`terms`); level k is
-    (level k-1) @ (level 1) with (f @ g)_m = sum_j C(m,j) f_j g_{m-j}, that
-    is m! [x^m] E^k for E the sequence's EGF.  Levels grow only by appending,
-    under a lock.  Up to index min(n, r) the fold is literal: entry m is
-    added to every level 2..r that lacks it before entry m + 1 to any, as
-    sum_j prev_j * (C(m,j) base_{m-j}), the bracket shared by those levels,
-    with C(m, .) from :func:`math.comb` once per index.  Past index r, level r
-    alone grows by h_m = sum_{i=1}^{r+1} w_i h_{m-i}: E^r lies in the
-    (r+1)-dimensional span of E^{r-i} (E')^i, which d/dx maps to itself, so
-    E^r obeys the linear ODE det(D - M) E^r = 0 (:func:`_ode_weights`).  The
-    weights depend on a, b and r alone, are made once per key the first time
-    level r grows past index r, and never come from the closed forms' derived
-    pairs.  The window stops at min(n, r), so a large r with a small n builds
-    no more than the literal fold would.
+    r = 1 is the sequence's own cached list (:func:`terms`).  For r >= 2 one
+    list per (params, which, r) grows only by appending, under a lock, from
+    the sequence w and its own entries.  Up to index min(n, r) it is seeded:
+    u_0 = 0 makes E^r = x^r (1 + O(x)), so h_m is r! at m = r and 0 below;
+    for v, H = E^r satisfies H' E = r E' H, which read at EGF index m - 1
+    with v_0 = 2 gives h_0 = 2^r and, with C(m-1, .) from :func:`math.comb`,
+    h_m = (1/2) sum_{i=1}^{m} (r C(m-1, i-1) - C(m-1, i)) v_i h_{m-i}.
+    Past index r it grows by h_m = sum_{i=1}^{r+1} w_i h_{m-i}: E^r lies in
+    the (r+1)-dimensional span of E^{r-i} (E')^i, which d/dx maps to itself,
+    so E^r obeys the linear ODE det(D - M) E^r = 0 (:func:`_ode_weights`).
+    The weights depend on a, b and r alone, are made once per key the first
+    time the list grows past index r, and never come from the closed forms'
+    derived pairs.  A large r with a small n holds only min(n, r) + 1 values.
     """
     base = terms(params, which, n)
     if r == 1:
@@ -269,14 +268,15 @@ def _fold_levels(params: SeqParams, which: str, r: int, n: int) -> list[int]:
     if n < len(top):
         return top
     with _table_lock:
-        window = min(n, r)
-        if len(top) <= window:
-            levels = [base] + [_binom_fold(params, which, k)[1] for k in range(2, r + 1)]
-            for m in range(min(map(len, levels[1:])), window + 1):
-                bracket = [comb(m, j) * base[m - j] for j in range(m + 1)]
-                for prev, level in zip(levels, levels[1:]):
-                    if len(level) == m:
-                        level.append(sum(map(mul, bracket, prev)))
+        for m in range(len(top), min(n, r) + 1):
+            if which == "u":
+                top.append(factorial(r) if m == r else 0)
+            elif m == 0:
+                top.append(2**r)
+            else:
+                row = [comb(m - 1, j) for j in range(m + 1)]  # C(m-1, m) = 0
+                bracket = zip(row, row[1:], base[1:m + 1], reversed(top))
+                top.append(exact_div(sum((r * c - d) * w * h for c, d, w, h in bracket), 2))
         if len(top) <= n and not weights:
             weights.extend(_ode_weights(params, r))
         for m in range(len(top), n + 1):

@@ -349,8 +349,16 @@ def test_plain_conv_of_r_600_matches_the_closed_form():
     assert invoke(["closed", "--identity", "general-plain", *argv]) == (0, out, "")
 
 
+@pytest.mark.parametrize("kind, a, b", [("u", "2", "3"), ("v", "-4", "-3")])
+def test_binomial_conv_of_r_400_matches_the_closed_form(kind, a, b):
+    argv = ["--a", a, "--b", b, "--r", "400", "--n", "500"]
+    code, out, err = invoke(["conv", "--kind", kind, "--binomial", *argv])
+    assert (code, err) == (0, "")
+    assert invoke(["closed", "--identity", f"general-{kind}", *argv]) == (0, out, "")
+
+
 def test_binomial_conv_of_large_r_needs_no_recursion():
-    # the binomial fold grows level by level, so a large r only costs time
+    # the binomial fold grows one list per r by a loop, so a large r only costs time
     code, out, err = invoke(["conv", "--kind", "lucas", "--binomial", "--r", "1200", "--n", "3"])
     assert (code, err) == (0, "")
     closed = invoke(["closed", "--identity", "general-v", "--a", "1", "--b", "1", "--r", "1200", "--n", "3"])

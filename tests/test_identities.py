@@ -306,8 +306,8 @@ def test_binom_conv_matches_composition_enumeration():
 
 
 def test_binom_fold_grows_in_place_out_of_order():
-    # each call extends the shared levels from their current length, and the
-    # closed forms read (and grow) level 1 of the u- and v-folds in between
+    # each call extends its key's list from its current length, and the closed
+    # forms read (and grow) the u- and v-sequence tables the folds start from
     def sides(r, n):
         return (
             rhs_multinom_u(BALANCING, r, n),
@@ -330,7 +330,7 @@ def test_binom_fold_grows_in_place_out_of_order():
 
 #: oracle -> (its value at one key, the keys thread t asks, an independent value at one key)
 THREADED_ORACLES = {
-    "fold": (  # key n, thread t asks n = t, t + 4, ...: interleaved growth of four levels
+    "fold": (  # key n, thread t asks n = t, t + 4, ...: interleaved growth of one list
         lambda n: binom_conv_u(SeqParams(1, 2), 4, n),
         lambda t: range(t, 28, 4),
         lambda n: _binom_conv_by_enumeration(lambda k: u(SeqParams(1, 2), k), 4, n, 1),
@@ -382,15 +382,15 @@ def _literal_comb_fold(seq, r, n):
 
 
 def test_binom_fold_levels_grow_out_of_order_like_the_literal_fold():
-    # the literal window of a request for (r, n) ends at index min(n, r); a request either
-    # continues the levels it shares with earlier ones, builds a higher r's new levels from
-    # 0, or, once its window is built, only extends level r by its recurrence
+    # the seeded window of a request for (r, n) ends at index min(n, r); a request either
+    # starts or continues its own key's window, or, once that is built, only extends the
+    # list by its recurrence; each request then reads every lower r's list too
     other = SeqParams(1, 2)
     requests = [  # (params, which, r, n)
         (BALANCING, "u", 3, 70),  # first call: window 0..3
         (BALANCING, "u", 3, 140),  # window built: recurrence only, crossing 128
-        (BALANCING, "v", 4, 65),  # same params, other sequence: its own levels
-        (BALANCING, "u", 5, 100),  # higher r: levels 4 and 5 start at 0
+        (BALANCING, "v", 4, 65),  # same params, other sequence: its own list
+        (BALANCING, "u", 5, 100),  # higher r: its own list starts at 0
         (BALANCING, "u", 2, 150),  # lower r: recurrence only
         (BALANCING, "v", 4, 66),
         (other, "u", 4, 63),
@@ -402,19 +402,19 @@ def test_binom_fold_levels_grow_out_of_order_like_the_literal_fold():
         (other, "u", 3, 130),
         (other, "u", 2, 131),
         (other, "u", 3, 133),
-        # out of order, n <= r: levels of one key at different lengths inside the window
+        # out of order, n <= r: lists of several r at different lengths inside their windows
         (other, "v", 8, 2),  # first call: window 0..2
-        (other, "v", 3, 3),  # levels 2, 3 continue at 3
-        (other, "v", 8, 8),  # levels 4..8 continue at 3, levels 2, 3 at 4
-        (other, "v", 9, 0),  # level 9 starts at 0
-        (other, "v", 9, 5),  # level 9 continues at 1
-        (other, "v", 10, 4),  # level 10 starts at 0
-        (other, "v", 7, 7),  # window built: nothing new
-        (other, "v", 10, 7),  # level 10 continues at 5, level 9 at 6
-        (other, "v", 11, 1),  # level 11 starts at 0
-        (other, "v", 10, 10),  # levels 9, 10 continue at 8, levels 2..8 at 9
+        (other, "v", 3, 3),  # r = 3 continues at 3
+        (other, "v", 8, 8),  # r = 8 continues at 3
+        (other, "v", 9, 0),  # r = 9 starts at 0
+        (other, "v", 9, 5),  # r = 9 continues at 1
+        (other, "v", 10, 4),  # r = 10 starts at 0
+        (other, "v", 7, 7),  # built by the lower-r reads of (8, 8): a lookup
+        (other, "v", 10, 7),  # r = 10 continues at 5
+        (other, "v", 11, 1),  # r = 11 starts at 0
+        (other, "v", 10, 10),  # r = 10 continues at 8 and completes its window
         (other, "v", 10, 30),  # recurrence only
-        (other, "v", 11, 12),  # level 11 continues at 2, levels 2..9 at 11; then n = 12
+        (other, "v", 11, 12),  # r = 11 continues at 2, completes its window; then n = 12
         (other, "v", 11, 9),  # already built: a lookup
     ]
     want = {}
@@ -444,9 +444,8 @@ _FOLD_PARAMS = list(dict.fromkeys([
 
 @pytest.mark.parametrize("params", _FOLD_PARAMS, ids=str)
 def test_binom_fold_recurrence_matches_literal_fold(params):
-    # past index r each level grows by its ODE recurrence; requests come out of order and
-    # cross indices r and r + 1, so levels extended by their own recurrence feed the
-    # literal window of a higher r
+    # past index r each list grows by its ODE recurrence; requests come out of order and
+    # cross indices r and r + 1, so a list is read at, below and past the seeded window's edge
     seqs = {which: sequences.terms(params, which, 120) for which in "uv"}
     want = {which: _literal_comb_fold(seq, 8, 120) for which, seq in seqs.items()}
     clear_caches()
@@ -479,6 +478,19 @@ def test_binom_conv_c_recurrence_matches_literal_fold():
             assert want[r - 1][n] == _binom_conv_by_enumeration(lucas_balancing, r, n, 0)
 
 
+@pytest.mark.parametrize("params", [*PARAM_GRID, SeqParams(-4, -3)], ids=str)
+def test_binom_fold_of_large_r_matches_literal_fold(params):
+    # r = 50 and 64, n = 0..r + 10 in order: the seeded window up to index r, then the
+    # order-(r + 1) recurrence past it
+    seqs = {which: sequences.terms(params, which, 74) for which in "uv"}
+    want = {which: _literal_comb_fold(seq, 64, 74) for which, seq in seqs.items()}
+    clear_caches()
+    for r in (50, 64):
+        for n in range(r + 11):
+            assert binom_conv_u(params, r, n) == want["u"][r - 1][n], (r, n)
+            assert binom_conv_v(params, r, n) == want["v"][r - 1][n], (r, n)
+
+
 def _poly_mul(p, q):
     # product of two coefficient lists, highest degree first
     out = [0] * (len(p) + len(q) - 1)
@@ -506,8 +518,9 @@ def test_ode_weights_are_the_product_of_the_derived_lucas_pairs():
                 assert [1, *(-w for w in reversed(weights))] == det, (a, b, r)
 
 
-def test_binom_fold_builds_literally_only_up_to_index_r(monkeypatch):
-    # math.comb is called only for the literal window's brackets, which stop at min(n, r)
+def test_binom_fold_keeps_one_list_per_key(monkeypatch):
+    # each (params, which, r) key is built from the sequence and its own list alone: the
+    # u window needs no binomial, the v window one math.comb row C(m - 1, .) per index m
     seeded = []
     monkeypatch.setattr(identities, "comb", lambda m, j: seeded.append(m) or comb(m, j))
     params = SeqParams(2, 3)
@@ -515,14 +528,18 @@ def test_binom_fold_builds_literally_only_up_to_index_r(monkeypatch):
     want = rhs_multinom_u(params, 5, 2000)
     seeded.clear()
     assert binom_conv_u(params, 5, 2000) == want
-    assert seeded and max(seeded) <= 5
-    assert [len(identities._binom_fold(params, "u", k)[1]) for k in range(2, 6)] == [6, 6, 6, 2001]
-    seeded.clear()
+    assert seeded == []
+    clear_caches()
     binom_conv_v(FIBONACCI, 1200, 3)
-    assert seeded and max(seeded) <= 3
-    for k in range(2, 1201):
-        weights, level = identities._binom_fold(FIBONACCI, "v", k)
-        assert (weights, len(level)) == ([], 4)
+    assert seeded and max(seeded) <= 2
+    assert identities._binom_fold.cache_info().currsize == 1
+    weights, top = identities._binom_fold(FIBONACCI, "v", 1200)
+    assert (weights, len(top)) == ([], 4)
+    # a large r with n = 0 holds one value, not one list per level
+    entries = identities._binom_fold.cache_info().currsize
+    assert binom_conv_u(params, 400_000, 0) == 0
+    assert binom_conv_v(params, 100_000, 0) == 2**100_000
+    assert identities._binom_fold.cache_info().currsize == entries + 2
 
 
 def test_binom_conv_rejects_bad_args():

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import threading
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,8 @@ def _env() -> dict:
     return env
 
 
-def _traced(argv: list[str]) -> tuple[subprocess.CompletedProcess, str]:
+@lru_cache(maxsize=None)
+def _traced(argv: tuple[str, ...]) -> tuple[subprocess.CompletedProcess, str]:
     read_fd, write_fd = os.pipe()
     chunks: list[str] = []
     with os.fdopen(read_fd, encoding="utf-8") as source:
@@ -71,7 +73,7 @@ def _traced(argv: list[str]) -> tuple[subprocess.CompletedProcess, str]:
 
 @pytest.mark.parametrize("argv", ARGVS.values(), ids=ARGVS)
 def test_tracer_matches_cli(argv):
-    traced, record = _traced(argv)
+    traced, record = _traced(tuple(argv))
     plain = subprocess.run(
         [sys.executable, "-m", "balconv.cli", *argv], env=_env(), capture_output=True, timeout=120
     )
@@ -79,3 +81,25 @@ def test_tracer_matches_cli(argv):
     assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout)
     trace = json.loads(record)
     assert trace["self_s"]["cli"] > 0 and trace["spans"]
+
+
+#: Test id -> {(trace table, key): True if it must be positive, False if it must be 0}.
+#: These mirror the tracer self-test ``EXPECT`` in perfbench/run.py: a general-v sweep
+#: calls math.comb in the oracle layer (sweep-binomial), a general-plain sweep multiplies
+#: series and calls no oracle comb (sweep-ogf), and the pair sums multiply no series
+#: (sweep-pair).  They move when ROADMAP item 2 moves those pins off these counters.
+PINS = {
+    "verify-general-v-r5": {("comb", "identities.oracle"): True},
+    "verify-general-plain-blocks": {("counts", "mul_calls"): True, ("comb", "identities.oracle"): False},
+    "verify-pair-plain": {("counts", "mul_calls"): False},
+    "table-pair-telescope": {("counts", "mul_calls"): False},
+}
+
+
+@pytest.mark.parametrize("name", PINS)
+def test_tracer_sees_the_workload_pins(name):
+    traced, record = _traced(tuple(ARGVS[name]))
+    assert traced.returncode == 0, traced.stderr.decode()
+    trace = json.loads(record)
+    for (table, key), positive in PINS[name].items():
+        assert (trace[table].get(key, 0) > 0) == positive, (table, key, trace[table])
