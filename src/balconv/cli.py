@@ -6,11 +6,11 @@ report mismatches), ``series-check`` (exact power-series checks), ``table``
 (side-by-side LHS/RHS columns).
 
 Exit codes: 0 success / all checks pass, 1 verification found mismatches
-(report still emitted), 2 usage or domain error or an unwritable
-``--output``.  A large r or n only makes a run slower: no oracle table
-recurses.  All integers in machine output are decimal strings; they outgrow
-64-bit types quickly, so CPython's int/str digit limit is lifted while
-:func:`run` executes.
+(report still emitted), 2 usage or domain error, an unwritable ``--output``,
+or a run out of memory.  A large r or n only makes a run slower: no oracle
+table recurses.  All integers in machine output are decimal strings; they
+outgrow 64-bit types quickly, so CPython's int/str digit limit is lifted
+while :func:`run` executes.
 """
 
 from __future__ import annotations
@@ -339,8 +339,8 @@ def run(argv: Sequence[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, IntegralityError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, IntegralityError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -2,11 +2,11 @@
 
 Each catalog entry pairs a brute-force left-hand side (a convolution computed
 directly: a coefficient of the OGF power x^r / P^r read from the recurrence
-whose characteristic polynomial is P^r, a binomial-weighted fold m! [x^m] E^r
-seeded up to index r from the sequence alone and then read from the
-recurrence E^r obeys, or a literal sum of products) with a closed-form
-right-hand side evaluated in integers; a closed form that divides does so with
-:func:`exact_div`, which raises on a remainder.
+whose characteristic polynomial is P^r, the balancing pair sum S_2 read from
+P f^2 = x f, or a binomial-weighted fold m! [x^m] E^r seeded up to index r
+from the sequence alone and then read from the recurrence E^r obeys) with a
+closed-form right-hand side evaluated in integers; a closed form that divides
+does so with :func:`exact_div`, which raises on a remainder.
 :func:`verify_identity` sweeps a range of n and reports every mismatch with an
 exact witness.
 
@@ -96,9 +96,9 @@ PARAM_GRID: tuple[SeqParams, ...] = (
 
 def clear_caches() -> None:
     """Drop every memoized value: the P^r coefficient lists of the plain convolutions, the
-    S_2 pair sums, the fold lists with their recurrence weights, binomials and sequence
-    tables, including the derived-parameter tables."""
-    for cached in (_ogf_power, _pair_square, _binom_fold, combinatorics.binom):
+    S_2 list of the pair sums, the fold lists with their recurrence weights, binomials and
+    sequence tables, including the derived-parameter tables."""
+    for cached in (_ogf_power, _pair_squares, _binom_fold, combinatorics.binom):
         cached.cache_clear()
     sequences._tables.clear()
 
@@ -184,22 +184,34 @@ def alt_weighted_conv(r: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _pair_square(m: int) -> int:
-    """S_2(m) = sum_{j=1}^{m-1} B_j B_{m-j}, summed literally over its symmetric half.
+def _pair_squares() -> list[int]:
+    # Registry of the grow-only list of S_2(m), m = 0, 1, ...; only _pair_square appends.
+    return [0, 0]
 
-    Terms j and m - j are equal, so S_2(m) = 2 sum_{1<=j<m/2} B_j B_{m-j}, plus
-    B_{m/2}^2 for even m.  Memoized per m, not as a list grown from m = 0:
-    sweeps that start at large n never build the values below their range.
+
+def _pair_square(m: int) -> int:
+    """S_2(m) = sum_{j=1}^{m-1} B_j B_{m-j}, the coefficient m of f^2, f = x / P.
+
+    P f^2 = x f, P = 1 - a x - b x^2 at (a, b) = (6, -1), so reading
+    coefficient m of both sides gives S_2(m) = a S_2(m-1) + b S_2(m-2) + B_{m-1},
+    with S_2(0) = S_2(1) = 0.  One list grows from m = 0 by appending under a
+    lock, so each value costs O(1) big-int products and is made once per process.
     """
-    B = terms(BALANCING, "u", m)
-    half = sum(map(mul, B[1:(m + 1) // 2], B[m - 1:m // 2:-1]))
-    return 2 * half + (B[m // 2] ** 2 if m % 2 == 0 else 0)
+    s = _pair_squares()
+    if len(s) <= m:
+        a, b = BALANCING.a, BALANCING.b
+        B = terms(BALANCING, "u", m)
+        with _table_lock:
+            for k in range(len(s), m + 1):
+                s.append(a * s[k - 1] + b * s[k - 2] + B[k - 1])
+    return s[m]
 
 
 def pair_telescope_sum(n: int) -> int:
     """sum_{j=1}^{n} (B_j B_{n-j+1} - B_{j-1} B_{n-j}); total, empty sum is 0.
 
-    With B_0 = 0 the two sums are S_2(n+1) and S_2(n-1), the second read with i = j - 1.
+    With B_0 = 0 the two sums are S_2(n+1) and S_2(n-1), the second read with i = j - 1;
+    both come from the one S_2 list (:func:`_pair_square`).
     """
     if n < 0:
         raise ValueError(f"pair_telescope_sum: n must be nonnegative, got {n}")
@@ -207,7 +219,7 @@ def pair_telescope_sum(n: int) -> int:
 
 
 def pair_plain_sum(n: int) -> int:
-    """sum_{j=1}^{n-1} B_j B_{n-j}, the two-fold convolution written out."""
+    """sum_{j=1}^{n-1} B_j B_{n-j}, the two-fold convolution S_2(n) (:func:`_pair_square`)."""
     if n < 0:
         raise ValueError(f"pair_plain_sum: n must be nonnegative, got {n}")
     return _pair_square(n)

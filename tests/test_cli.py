@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from balconv import cli
 from balconv.cli import run
 from balconv.combinatorics import unlimited_int_digits
 from balconv.identities import (
@@ -319,12 +321,34 @@ def test_unwritable_output_exits_2(tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
-def _run_child(script):
-    """Run ``python -c script`` in a fresh interpreter with this tree's src first on its path."""
+def test_memory_error_exits_2_without_a_traceback(monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_series_check", exhausted)
+    code, out, err = invoke(["series-check", "--order", "10"])
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+def _run_child(script, *args, **kwargs):
+    """Run ``python -c script *args`` in a fresh interpreter with this tree's src first on its path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     old = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + old if old else "")}
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300, **kwargs
+    )
+
+
+def _cap_address_space():
+    # 1 GiB of address space: the interpreter starts, but no 10**12-entry table can be made
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_series_check_past_memory_exits_2():
+    script = "import sys\nfrom balconv.cli import run\nsys.exit(run(sys.argv[1:]))\n"
+    proc = _run_child(script, "series-check", "--order", str(10**12), preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
 
 def test_plain_conv_of_large_r_needs_no_recursion():

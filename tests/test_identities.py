@@ -147,16 +147,20 @@ def test_pair_sums_match_literal_per_term_formulas():
 
 
 def test_pair_square_is_two_fold_conv_power():
-    # odd and even m (the unpaired middle term), up to m = 200
+    # S_2 from P f^2 = x f against the coefficients of x^2 / P^2, up to m = 200
     for m in range(201):
-        assert identities._pair_square(m) == conv_power(BALANCING, 2, m)
+        assert pair_plain_sum(m) == conv_power(BALANCING, 2, m)
 
 
 def test_pair_sums_from_a_high_start_match_literal_formulas():
-    # the S_2 memo is keyed by m, so a sweep that starts high builds nothing below it
+    # the S_2 list grows from m = 0 to the highest n asked, and a lower n reads it as it is
     clear_caches()
+    pair_plain_sum(170)
+    assert len(identities._pair_squares()) == 171
+    pair_plain_sum(150)
+    assert identities._pair_squares.cache_info().currsize == 1
+    assert len(identities._pair_squares()) == 171
     got = {n: (pair_telescope_sum(n), pair_plain_sum(n)) for n in range(150, 171)}
-    assert identities._pair_square.cache_info().currsize == len(range(149, 172))
     B = balancing
     for n, (telescope, plain) in got.items():
         assert telescope == sum(B(j) * B(n - j + 1) - B(j - 1) * B(n - j) for j in range(1, n + 1))
@@ -339,6 +343,13 @@ THREADED_ORACLES = {
         lambda r: conv_power(BALANCING, r, 60),
         lambda t: (2 + t, 6 + t, 10 + t),
         lambda r: rhs_general_plain(r, 60),
+    ),
+    # key n, thread t asks n = 2 + t, 162 + t, ...: four threads in step grow the one S_2 list
+    # by about 160 values per request, long enough for unlocked appends to interleave
+    "pair": (
+        pair_plain_sum,
+        lambda t: range(2 + t, 4002, 160),
+        rhs_pair_plain,
     ),
 }
 
@@ -829,7 +840,7 @@ def test_clear_caches_drops_every_memo():
         if hasattr(cached, "cache_clear")
     }
     assert {
-        *(f"balconv.identities.{name}" for name in ("_ogf_power", "_pair_square", "_binom_fold")),
+        *(f"balconv.identities.{name}" for name in ("_ogf_power", "_pair_squares", "_binom_fold")),
         "balconv.combinatorics.binom",
     } <= set(memos)
     assert sequences._tables
