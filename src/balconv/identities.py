@@ -96,9 +96,11 @@ PARAM_GRID: tuple[SeqParams, ...] = (
 
 def clear_caches() -> None:
     """Drop every memoized value: the P^r coefficient lists of the plain convolutions, the
-    S_2 list of the pair sums, the fold lists with their recurrence weights, binomials and
-    sequence tables, including the derived-parameter tables."""
-    for cached in (_ogf_power, _pair_squares, _binom_fold, combinatorics.binom):
+    S_2 list of the pair sums, the partial-sum list of the pair-plain closed form, the fold
+    lists with their recurrence weights, binomials and sequence tables, including the
+    derived-parameter tables."""
+    memos = (_ogf_power, _pair_squares, _pair_plain_partials, _binom_fold, combinatorics.binom)
+    for cached in memos:
         cached.cache_clear()
     sequences._tables.clear()
 
@@ -410,12 +412,31 @@ def rhs_pair_telescope(n: int) -> int:
     return n * balancing(n)
 
 
+@lru_cache(maxsize=None)
+def _pair_plain_partials() -> list[int]:
+    # Registry of the grow-only list of T(k), k = 0, 1, ...; only rhs_pair_plain appends.
+    # Not named rhs_*: the tracer times every rhs_* name here as a closed form.
+    return [0, 0]
+
+
 def rhs_pair_plain(n: int) -> int:
-    """sum_{m=0}^{floor((n-1)/2)} (n-2m-1) B_{n-2m-1}, valid for n >= 2."""
+    """sum_{m=0}^{floor((n-1)/2)} (n-2m-1) B_{n-2m-1}, valid for n >= 2.
+
+    This is T(n), where T(k) sums j B_j over 0 <= j <= k-1 with j = k-1 (mod 2);
+    so T(k) = T(k-2) + (k-1) B_{k-1}, with T(0) = T(1) = 0.  One list of T grows
+    from k = 0 by appending under a lock, so each value costs one big-int
+    product and is made once per process.  It reads B alone, never the S_2
+    list of the pair oracles, so the two routes stay independent.
+    """
     if n < 2:
         raise ValueError(f"rhs_pair_plain: n must be >= 2, got {n}")
-    B = terms(BALANCING, "u", n)
-    return sum((n - 2 * m - 1) * B[n - 2 * m - 1] for m in range((n - 1) // 2 + 1))
+    t = _pair_plain_partials()
+    if len(t) <= n:
+        B = terms(BALANCING, "u", n)
+        with _table_lock:
+            for k in range(len(t), n + 1):
+                t.append(t[k - 2] + (k - 1) * B[k - 1])
+    return t[n]
 
 
 def rhs_general_plain(r: int, n: int) -> int:

@@ -2,7 +2,8 @@
 
 ``multinomial`` weighs the compositions in the binomial-convolution
 enumeration; ``check_cross_recurrence`` ties the balancing and
-Lucas-balancing tables together.
+Lucas-balancing tables together; ``pair_plain_by_terms`` is the pair-plain
+closed form summed term by term.
 """
 
 from __future__ import annotations
@@ -37,3 +38,10 @@ def check_cross_recurrence(n_max: int) -> bool:
         if lucas_balancing(n + 1) != 8 * balancing(n) + 3 * lucas_balancing(n):
             return False
     return True
+
+
+def pair_plain_by_terms(n: int) -> int:
+    """sum_{m=0}^{floor((n-1)/2)} (n-2m-1) B_{n-2m-1}, one balancing() call per term."""
+    if n < 2:
+        raise ValueError(f"pair_plain_by_terms: n must be >= 2, got {n}")
+    return sum((n - 2 * m - 1) * balancing(n - 2 * m - 1) for m in range((n - 1) // 2 + 1))

@@ -56,7 +56,7 @@ from balconv.sequences import (
     u,
     v,
 )
-from helpers import multinomial
+from helpers import multinomial, pair_plain_by_terms
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +263,41 @@ def test_rhs_general_plain_reduces_to_pair_at_r2():
         assert rhs_general_plain(2, n) == rhs_pair_plain(n)
 
 
+def test_rhs_pair_plain_matches_the_literal_sum():
+    clear_caches()
+    for n in range(2, 401):
+        assert rhs_pair_plain(n) == pair_plain_by_terms(n)
+
+
+def test_rhs_pair_plain_from_a_high_start_matches_the_literal_sum():
+    # the partial-sum list grows from k = 0 to the highest n asked; a lower n reads it as it is
+    clear_caches()
+    got = {n: rhs_pair_plain(n) for n in (1352, *range(2, 61))}
+    assert got == {n: pair_plain_by_terms(n) for n in got}
+
+
+def test_rhs_pair_plain_keeps_one_partial_sum_list():
+    clear_caches()
+    rhs_pair_plain(170)
+    assert identities._pair_plain_partials.cache_info().currsize == 1
+    assert len(identities._pair_plain_partials()) == 171
+    rhs_pair_plain(150)
+    assert identities._pair_plain_partials.cache_info().currsize == 1
+    assert len(identities._pair_plain_partials()) == 171
+
+
+def test_rhs_pair_plain_never_reads_the_oracle_routes(monkeypatch):
+    # the closed form reads B alone: not the S_2 list of the pair oracles, not P^r, not Series
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pair-plain closed form read an oracle route")
+
+    clear_caches()
+    for name in ("_pair_square", "_pair_squares", "conv_power", "Series"):
+        monkeypatch.setattr(identities, name, refuse)
+    got = {n: rhs_pair_plain(n) for n in (90, 2, 3, 41, 200)}
+    assert got == {n: pair_plain_by_terms(n) for n in got}
+
+
 def test_rhs_general_plain_domain():
     with pytest.raises(ValueError):
         rhs_general_plain(1, 5)
@@ -332,24 +367,30 @@ def test_binom_fold_grows_in_place_out_of_order():
         assert sides(r, n) == grown[r, n]
 
 
-#: oracle -> (its value at one key, the keys thread t asks, an independent value at one key)
+#: oracle -> (its value at one key, the keys thread t asks, an independent value at one key);
+#: in each entry thread t asks key n = n_0 + t, n_0 + 160 + t, ..., so four threads in step
+#: grow one list by about 160 values per request, long enough for unlocked appends to
+#: interleave
 THREADED_ORACLES = {
-    "fold": (  # key n, thread t asks n = t, t + 4, ...: interleaved growth of one list
+    "fold": (  # the fold list of r = 4 at (1, 2)
         lambda n: binom_conv_u(SeqParams(1, 2), 4, n),
-        lambda t: range(t, 28, 4),
-        lambda n: _binom_conv_by_enumeration(lambda k: u(SeqParams(1, 2), k), 4, n, 1),
+        lambda t: range(t, 4000, 160),
+        lambda n: rhs_multinom_u(SeqParams(1, 2), 4, n),
     ),
-    "power": (  # key r, thread t asks r = 2 + t, 6 + t, 10 + t: interleaved growth of one list
-        lambda r: conv_power(BALANCING, r, 60),
-        lambda t: (2 + t, 6 + t, 10 + t),
-        lambda r: rhs_general_plain(r, 60),
+    "power": (  # the f^3 list at (6, -1)
+        lambda n: conv_power(BALANCING, 3, n),
+        lambda t: range(3 + t, 4003, 160),
+        lambda n: rhs_general_plain(3, n),
     ),
-    # key n, thread t asks n = 2 + t, 162 + t, ...: four threads in step grow the one S_2 list
-    # by about 160 values per request, long enough for unlocked appends to interleave
-    "pair": (
+    "pair": (  # the S_2 list
         pair_plain_sum,
         lambda t: range(2 + t, 4002, 160),
         rhs_pair_plain,
+    ),
+    "pair-closed": (  # the partial-sum list of the pair-plain closed form
+        rhs_pair_plain,
+        lambda t: range(2 + t, 4002, 160),
+        pair_plain_by_terms,
     ),
 }
 
@@ -832,6 +873,7 @@ def test_clear_caches_drops_every_memo():
     binom_conv_v(FIBONACCI, 2, 5)
     binom(9, 4)
     pair_plain_sum(12)
+    rhs_pair_plain(12)
     # every memo in the package's modules, so one added later but not cleared fails here
     memos = {
         f"{module.__name__}.{name}": cached
@@ -840,7 +882,10 @@ def test_clear_caches_drops_every_memo():
         if hasattr(cached, "cache_clear")
     }
     assert {
-        *(f"balconv.identities.{name}" for name in ("_ogf_power", "_pair_squares", "_binom_fold")),
+        *(
+            f"balconv.identities.{name}"
+            for name in ("_ogf_power", "_pair_squares", "_pair_plain_partials", "_binom_fold")
+        ),
         "balconv.combinatorics.binom",
     } <= set(memos)
     assert sequences._tables
