@@ -19,7 +19,6 @@ a transcription diverges from the general formula.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -34,6 +33,8 @@ from .sequences import (
     FIBONACCI,
     SeqParams,
     balancing,
+    grow,
+    held,
     lucas,
     lucas_balancing,
     terms,
@@ -95,12 +96,10 @@ PARAM_GRID: tuple[SeqParams, ...] = (
 
 
 def clear_caches() -> None:
-    """Drop every memoized value: the P^r coefficient lists of the plain convolutions, the
-    S_2 list of the pair sums, the partial-sum list of the pair-plain closed form, the fold
-    lists with their recurrence weights, binomials and sequence tables, including the
-    derived-parameter tables."""
-    memos = (_ogf_power, _pair_squares, _pair_plain_partials, _binom_fold, combinatorics.binom)
-    for cached in memos:
+    """Drop every memoized value: the P^r and fold-weight memos, binomials, and every list
+    of the table store (:func:`sequences.grow`): the terms, derived-parameter tables
+    included, f^r, S_2, the pair-plain partial sums T and the folds."""
+    for cached in (_ogf_power, _binom_fold, combinatorics.binom):
         cached.cache_clear()
     sequences._tables.clear()
 
@@ -110,13 +109,10 @@ def clear_caches() -> None:
 # ---------------------------------------------------------------------------
 
 
-_table_lock = threading.Lock()
-
-
 @lru_cache(maxsize=None)
-def _ogf_power(params: SeqParams, r: int) -> tuple[tuple[int, ...], list[int]]:
-    # Registry of (P^r coefficients, grow-only list of [x^m] f^r); only conv_power appends.
-    return Series([1, -params.a, -params.b], order=2 * r).pow(r).coeffs, []
+def _ogf_power(params: SeqParams, r: int) -> tuple[int, ...]:
+    # The 2r + 1 coefficients of P^r, fetched by conv_power only while its list grows.
+    return Series([1, -params.a, -params.b], order=2 * r).pow(r).coeffs
 
 
 def conv_power(params: SeqParams, r: int, n: int) -> int:
@@ -126,8 +122,9 @@ def conv_power(params: SeqParams, r: int, n: int) -> int:
     makes "positive parts" automatic, and it is zero whenever n < r.  From
     P^r f^r = x^r, with p_i the coefficients of P^r and g_m = [x^m] f^r,
     g_m = [m = r] - sum_{i=1}^{2r} p_i g_{m-i} (g = 0 below index 0), so each
-    coefficient costs O(r).  One list per (params, r) grows from m = 0 by
-    appending under a lock, so each coefficient is made once per process.
+    coefficient costs O(r).  The list is the store's ("f^r", params, r) table
+    (:func:`sequences.grow`), grown from m = 0, so each coefficient is made once
+    per process; P^r is read only while it grows.
     """
     if r < 1:
         raise ValueError(f"conv_power: r must be >= 1, got {r}")
@@ -135,13 +132,10 @@ def conv_power(params: SeqParams, r: int, n: int) -> int:
         raise ValueError(f"conv_power: n must be nonnegative, got {n}")
     if n < r:
         return 0
-    p, g = _ogf_power(params, r)
-    if len(g) <= n:
-        with _table_lock:
-            while len(g) <= n:
-                m = len(g)
-                lo = max(0, m - 2 * r)
-                g.append((m == r) - sum(map(mul, g[lo:m], p[m - lo:0:-1])))
+    g = held(("f^r", params, r), n)
+    if g is None:
+        p = _ogf_power(params, r)[1:]  # p_1..p_{2r}, paired with g_{m-1}, g_{m-2}, ...
+        g = grow(("f^r", params, r), (), n, lambda g, m: (m == r) - sum(map(mul, p, reversed(g))))
     return g[n]
 
 
@@ -185,27 +179,19 @@ def alt_weighted_conv(r: int, n: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _pair_squares() -> list[int]:
-    # Registry of the grow-only list of S_2(m), m = 0, 1, ...; only _pair_square appends.
-    return [0, 0]
-
-
 def _pair_square(m: int) -> int:
     """S_2(m) = sum_{j=1}^{m-1} B_j B_{m-j}, the coefficient m of f^2, f = x / P.
 
     P f^2 = x f, P = 1 - a x - b x^2 at (a, b) = (6, -1), so reading
     coefficient m of both sides gives S_2(m) = a S_2(m-1) + b S_2(m-2) + B_{m-1},
-    with S_2(0) = S_2(1) = 0.  One list grows from m = 0 by appending under a
-    lock, so each value costs O(1) big-int products and is made once per process.
+    with S_2(0) = S_2(1) = 0.  The list is the store's "S_2" table
+    (:func:`sequences.grow`), grown from m = 0, so each value costs O(1) big-int
+    products and is made once per process.
     """
-    s = _pair_squares()
-    if len(s) <= m:
-        a, b = BALANCING.a, BALANCING.b
-        B = terms(BALANCING, "u", m)
-        with _table_lock:
-            for k in range(len(s), m + 1):
-                s.append(a * s[k - 1] + b * s[k - 2] + B[k - 1])
+    s = held("S_2", m)
+    if s is None:
+        a, b, B = BALANCING.a, BALANCING.b, terms(BALANCING, "u", m)
+        s = grow("S_2", (0, 0), m, lambda s, k: a * s[k - 1] + b * s[k - 2] + B[k - 1])
     return s[m]
 
 
@@ -233,21 +219,16 @@ def pair_plain_sum(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _binom_fold(params: SeqParams, which: str, r: int) -> tuple[list[int], list[int]]:
-    # Registry of (recurrence weights, filled the first time the list grows past index r;
-    # grow-only list of m! [x^m] E^r, r >= 2), like _ogf_power's (P^r, list); only
-    # _fold_levels writes to them, and no key reads another key's list.
-    return [], []
-
-
-def _ode_weights(params: SeqParams, r: int) -> list[int]:
-    """[w_{r+1}, ..., w_1] with det(x - M) = x^{r+1} - sum_{i=1}^{r+1} w_i x^{r+1-i}.
+def _binom_fold(params: SeqParams, r: int) -> tuple[int, ...]:
+    """The fold recurrence's weights (w_{r+1}, ..., w_1), with
+    det(x - M) = x^{r+1} - sum_{i=1}^{r+1} w_i x^{r+1-i}, memoized per (params, r).
 
     M is the matrix of D = d/dx on E^{r-i} F^i (i = 0..r), F = E', which
     E'' = a E' + b E makes tridiagonal: D(E^{r-i} F^i) = (r-i) E^{r-i-1} F^{i+1}
     + i a E^{r-i} F^i + i b E^{r-i+1} F^{i-1}.  Its characteristic polynomial
     is the continuant p_{i+1} = (x - i a) p_i - (r-i+1) i b p_{i-1}, p_0 = 1,
-    p_1 = x, kept as integer coefficient lists, highest degree first.
+    p_1 = x, kept as integer coefficient lists, highest degree first.  The
+    weights depend on a, b and r alone, so the u and v folds share them.
     """
     a, b = params.a, params.b
     before, p = [1], [1, 0]
@@ -255,47 +236,46 @@ def _ode_weights(params: SeqParams, r: int) -> list[int]:
         c = (r - i + 1) * i * b
         shifted = zip([*p, 0], [0, *p], [0, 0, *before])  # x p_i, p_i, p_{i-1} aligned
         before, p = p, [s - i * a * t - c * q for s, t, q in shifted]
-    return [-w for w in reversed(p[1:])]
+    return tuple(-w for w in reversed(p[1:]))
 
 
 def _fold_levels(params: SeqParams, which: str, r: int, n: int) -> list[int]:
     """The r-fold binomial convolution h_m = m! [x^m] E^r for m = 0..n, E the EGF of w.
 
-    r = 1 is the sequence's own cached list (:func:`terms`).  For r >= 2 one
-    list per (params, which, r) grows only by appending, under a lock, from
-    the sequence w and its own entries.  Up to index min(n, r) it is seeded:
+    r = 1 is the sequence's own list (:func:`terms`).  For r >= 2 the list is
+    the store's ("fold", params, which, r) table (:func:`sequences.grow`), built
+    from the sequence w and its own entries.  Up to index min(n, r) it is seeded:
     u_0 = 0 makes E^r = x^r (1 + O(x)), so h_m is r! at m = r and 0 below;
     for v, H = E^r satisfies H' E = r E' H, which read at EGF index m - 1
     with v_0 = 2 gives h_0 = 2^r and, with C(m-1, .) from :func:`math.comb`,
     h_m = (1/2) sum_{i=1}^{m} (r C(m-1, i-1) - C(m-1, i)) v_i h_{m-i}.
     Past index r it grows by h_m = sum_{i=1}^{r+1} w_i h_{m-i}: E^r lies in
     the (r+1)-dimensional span of E^{r-i} (E')^i, which d/dx maps to itself,
-    so E^r obeys the linear ODE det(D - M) E^r = 0 (:func:`_ode_weights`).
-    The weights depend on a, b and r alone, are made once per key the first
-    time the list grows past index r, and never come from the closed forms'
-    derived pairs.  A large r with a small n holds only min(n, r) + 1 values.
+    so E^r obeys the linear ODE det(D - M) E^r = 0.  The weights come from the
+    :func:`_binom_fold` memo, read only while the list grows past index r, and
+    never from the closed forms' derived pairs.  A large r with a small n holds
+    only min(n, r) + 1 values.
     """
-    base = terms(params, which, n)
     if r == 1:
-        return base
-    weights, top = _binom_fold(params, which, r)
-    if n < len(top):
+        return terms(params, which, n)
+    top = held(("fold", params, which, r), n)
+    if top is not None:
         return top
-    with _table_lock:
-        for m in range(len(top), min(n, r) + 1):
-            if which == "u":
-                top.append(factorial(r) if m == r else 0)
-            elif m == 0:
-                top.append(2**r)
-            else:
-                row = [comb(m - 1, j) for j in range(m + 1)]  # C(m-1, m) = 0
-                bracket = zip(row, row[1:], base[1:m + 1], reversed(top))
-                top.append(exact_div(sum((r * c - d) * w * h for c, d, w, h in bracket), 2))
-        if len(top) <= n and not weights:
-            weights.extend(_ode_weights(params, r))
-        for m in range(len(top), n + 1):
-            top.append(sum(map(mul, weights, top[m - r - 1:m])))
-    return top
+    base = terms(params, which, min(n, r))
+    weights = _binom_fold(params, r) if n > r else ()
+
+    def step(top: list[int], m: int) -> int:
+        if m > r:
+            return sum(map(mul, weights, top[m - r - 1:m]))
+        if which == "u":
+            return factorial(r) if m == r else 0
+        if m == 0:
+            return 2**r
+        row = [comb(m - 1, j) for j in range(m + 1)]  # C(m-1, m) = 0
+        bracket = zip(row, row[1:], base[1:m + 1], reversed(top))
+        return exact_div(sum((r * c - d) * w * h for c, d, w, h in bracket), 2)
+
+    return grow(("fold", params, which, r), (), n, step)
 
 
 def _binom_conv(name: str, params: SeqParams, which: str, r: int, n: int) -> int:
@@ -412,30 +392,21 @@ def rhs_pair_telescope(n: int) -> int:
     return n * balancing(n)
 
 
-@lru_cache(maxsize=None)
-def _pair_plain_partials() -> list[int]:
-    # Registry of the grow-only list of T(k), k = 0, 1, ...; only rhs_pair_plain appends.
-    # Not named rhs_*: the tracer times every rhs_* name here as a closed form.
-    return [0, 0]
-
-
 def rhs_pair_plain(n: int) -> int:
     """sum_{m=0}^{floor((n-1)/2)} (n-2m-1) B_{n-2m-1}, valid for n >= 2.
 
     This is T(n), where T(k) sums j B_j over 0 <= j <= k-1 with j = k-1 (mod 2);
-    so T(k) = T(k-2) + (k-1) B_{k-1}, with T(0) = T(1) = 0.  One list of T grows
-    from k = 0 by appending under a lock, so each value costs one big-int
-    product and is made once per process.  It reads B alone, never the S_2
-    list of the pair oracles, so the two routes stay independent.
+    so T(k) = T(k-2) + (k-1) B_{k-1}, with T(0) = T(1) = 0.  The list is the
+    store's "T" table (:func:`sequences.grow`), grown from k = 0, so each value
+    costs one big-int product and is made once per process.  It reads B alone,
+    never the S_2 list of the pair oracles, so the two routes stay independent.
     """
     if n < 2:
         raise ValueError(f"rhs_pair_plain: n must be >= 2, got {n}")
-    t = _pair_plain_partials()
-    if len(t) <= n:
+    t = held("T", n)
+    if t is None:
         B = terms(BALANCING, "u", n)
-        with _table_lock:
-            for k in range(len(t), n + 1):
-                t.append(t[k - 2] + (k - 1) * B[k - 1])
+        t = grow("T", (0, 0), n, lambda t, k: t[k - 2] + (k - 1) * B[k - 1])
     return t[n]
 
 

@@ -7,13 +7,15 @@ recurrence w_n = a*w_{n-1} + b*w_{n-2}:
     v: v_0 = 2, v_1 = a        (Lucas numbers at (1, 1))
 
 Lucas-balancing numbers are v_n / 2 at (6, -1); the halving is always exact.
-Values are memoized in one grow-only list per (parameter pair, u or v).
+Every table of the package, these terms and the lists of :mod:`.identities`,
+is one grow-only list in the store below, grown only by :func:`grow`.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable
 
 from .combinatorics import exact_div
 
@@ -23,6 +25,8 @@ __all__ = [
     "SeqParams",
     "balancing",
     "fibonacci",
+    "grow",
+    "held",
     "lucas",
     "lucas_balancing",
     "terms",
@@ -55,11 +59,30 @@ BALANCING = SeqParams(6, -1)
 FIBONACCI = SeqParams(1, 1)
 
 
-#: (params, "u" | "v") -> that sequence's grow-only list of terms.  Lists are
-#: created and extended only under _lock and only ever appended to, so an entry,
-#: once there, never changes and may be read without the lock.
-_tables: dict[tuple[SeqParams, str], list[int]] = {}
+#: The table store: key -> grow-only list.  Lists are created and extended only by
+#: grow(), under _lock, and only ever appended to, so an entry, once there, never
+#: changes and may be read without the lock.  identities.clear_caches() empties it.
+_tables: dict[Hashable, list[int]] = {}
 _lock = threading.Lock()
+
+
+def held(key: Hashable, n: int) -> list[int] | None:
+    """The live list under ``key`` if it holds index n, else None: one lookup and a
+    length check, so callers build a seed and a step only when the list must grow."""
+    values = _tables.get(key)
+    return values if values is not None and len(values) > n else None
+
+
+def grow(key: Hashable, seed: Iterable[int], n: int, step: Callable[[list, int], int]) -> list[int]:
+    """The live list under ``key``, grown to hold index n: under the store's lock, a
+    missing list starts as ``seed``, then ``step(values, m)`` is appended for each
+    missing index m in order.  The lock is not reentrant, so ``step`` must not call
+    grow(): a table it reads is fetched before.  Callers only read the list."""
+    with _lock:
+        values = _tables.setdefault(key, list(seed))
+        for m in range(len(values), n + 1):
+            values.append(step(values, m))
+    return values
 
 
 def u(params: SeqParams, n: int) -> int:
@@ -77,17 +100,12 @@ def v(params: SeqParams, n: int) -> int:
 
 
 def terms(params: SeqParams, which: str, n: int) -> list[int]:
-    """The live grow-only list of ``which`` ("u" or "v") terms, grown to hold index n.
-
-    Later calls extend this same list in place; callers must only read it.
-    """
-    values = _tables.get((params, which))
-    if values is None or n >= len(values):
+    """The store's list of ``which`` ("u" or "v") terms, grown to hold index n (:func:`grow`)."""
+    values = held((params, which), n)
+    if values is None:
         a, b = params.a, params.b
-        with _lock:
-            values = _tables.setdefault((params, which), {"u": [0, 1], "v": [2, a]}[which])
-            while len(values) <= n:
-                values.append(a * values[-1] + b * values[-2])
+        seed = (0, 1) if which == "u" else (2, a)
+        values = grow((params, which), seed, n, lambda w, m: a * w[m - 1] + b * w[m - 2])
     return values
 
 

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, prod
@@ -53,6 +54,7 @@ from balconv.sequences import (
     balancing,
     lucas,
     lucas_balancing,
+    terms,
     u,
     v,
 )
@@ -153,13 +155,15 @@ def test_pair_square_is_two_fold_conv_power():
 
 
 def test_pair_sums_from_a_high_start_match_literal_formulas():
-    # the S_2 list grows from m = 0 to the highest n asked, and a lower n reads it as it is
+    # the S_2 list grows from m = 0 to the highest n asked, and a lower n reads it as it is;
+    # the store then holds that one list and the B terms it reads, nothing else
     clear_caches()
     pair_plain_sum(170)
-    assert len(identities._pair_squares()) == 171
+    s = sequences._tables["S_2"]
+    assert len(s) == 171
     pair_plain_sum(150)
-    assert identities._pair_squares.cache_info().currsize == 1
-    assert len(identities._pair_squares()) == 171
+    assert set(sequences._tables) == {"S_2", (BALANCING, "u")}
+    assert sequences._tables["S_2"] is s and len(s) == 171
     got = {n: (pair_telescope_sum(n), pair_plain_sum(n)) for n in range(150, 171)}
     B = balancing
     for n, (telescope, plain) in got.items():
@@ -279,22 +283,25 @@ def test_rhs_pair_plain_from_a_high_start_matches_the_literal_sum():
 def test_rhs_pair_plain_keeps_one_partial_sum_list():
     clear_caches()
     rhs_pair_plain(170)
-    assert identities._pair_plain_partials.cache_info().currsize == 1
-    assert len(identities._pair_plain_partials()) == 171
+    t = sequences._tables["T"]
+    assert set(sequences._tables) == {"T", (BALANCING, "u")}
+    assert len(t) == 171
     rhs_pair_plain(150)
-    assert identities._pair_plain_partials.cache_info().currsize == 1
-    assert len(identities._pair_plain_partials()) == 171
+    assert set(sequences._tables) == {"T", (BALANCING, "u")}
+    assert sequences._tables["T"] is t and len(t) == 171
 
 
 def test_rhs_pair_plain_never_reads_the_oracle_routes(monkeypatch):
-    # the closed form reads B alone: not the S_2 list of the pair oracles, not P^r, not Series
+    # the closed form reads B alone: not the S_2 list of the pair oracles, not P^r, not Series;
+    # from an empty store it adds only its own list and B's
     def refuse(*args, **kwargs):
         raise AssertionError("the pair-plain closed form read an oracle route")
 
     clear_caches()
-    for name in ("_pair_square", "_pair_squares", "conv_power", "Series"):
+    for name in ("_pair_square", "conv_power", "_ogf_power", "Series"):
         monkeypatch.setattr(identities, name, refuse)
     got = {n: rhs_pair_plain(n) for n in (90, 2, 3, 41, 200)}
+    assert set(sequences._tables) == {"T", (BALANCING, "u")}
     assert got == {n: pair_plain_by_terms(n) for n in got}
 
 
@@ -372,10 +379,15 @@ def test_binom_fold_grows_in_place_out_of_order():
 #: grow one list by about 160 values per request, long enough for unlocked appends to
 #: interleave
 THREADED_ORACLES = {
-    "fold": (  # the fold list of r = 4 at (1, 2)
+    "fold": (  # the u fold list of r = 4 at (1, 2)
         lambda n: binom_conv_u(SeqParams(1, 2), 4, n),
         lambda t: range(t, 4000, 160),
         lambda n: rhs_multinom_u(SeqParams(1, 2), 4, n),
+    ),
+    "fold-v": (  # the v fold list of r = 120 at (1, 2), whose window calls math.comb
+        lambda n: binom_conv_v(SeqParams(1, 2), 120, n),
+        lambda t: range(t, 1600, 160),
+        lambda n: rhs_multinom_v(SeqParams(1, 2), 120, n),
     ),
     "power": (  # the f^3 list at (6, -1)
         lambda n: conv_power(BALANCING, 3, n),
@@ -395,30 +407,86 @@ THREADED_ORACLES = {
 }
 
 
+def _run_in_threads(work, count=4):
+    """Run work(t), t = 0..count-1, in daemon threads started together at a 1 us switch
+    interval; return the threads still running 60 s later.
+
+    A step that re-entered the store's lock, which is not reentrant, would block its
+    thread for good while holding that lock.  The store then gets a fresh lock, so the
+    caller's failing assert is the only test the fault takes down.
+    """
+    start = threading.Barrier(count, timeout=60)
+
+    def run(t):
+        start.wait()
+        work(t)
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,), daemon=True) for t in range(count)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 60
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(saved)
+    stuck = [thread for thread in threads if thread.is_alive()]
+    if stuck:
+        sequences._lock = threading.Lock()
+        clear_caches()
+    return stuck
+
+
 @pytest.mark.parametrize("oracle", THREADED_ORACLES)
 def test_oracle_table_grows_safely_from_four_threads(oracle):
     ask, keys_of, independent = THREADED_ORACLES[oracle]
     want = {key: independent(key) for t in range(4) for key in keys_of(t)}
     clear_caches()
-    start = threading.Barrier(4, timeout=60)
     got = [{} for _ in range(4)]
 
     def grow(t):
-        start.wait()
         for key in keys_of(t):
             got[t][key] = ask(key)
 
-    saved = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=grow, args=(t,)) for t in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(saved)
-    assert not any(thread.is_alive() for thread in threads)
+    assert not _run_in_threads(grow)
+    assert {key: value for part in got for key, value in part.items()} == want
+
+
+def test_every_table_grows_safely_from_four_threads_at_once():
+    # terms, f^r, S_2, T and both folds through the one lock: thread t asks the six tables
+    # in its own rotation at n = 2 + t, 162 + t, ..., so each list grows while the others
+    # do, and S_2, T and the folds grow the term lists they read; every table grows off
+    # the main thread: the expected values in one thread, then the four at once
+    params = SeqParams(1, 2)
+    tables = (
+        lambda n: terms(params, "v", 2 * n)[2 * n],
+        lambda n: conv_power(BALANCING, 3, n),
+        pair_plain_sum,
+        rhs_pair_plain,
+        lambda n: binom_conv_u(params, 4, n),
+        lambda n: binom_conv_v(params, 40, n),
+    )
+    keys_of = [range(2 + t, 2002, 160) for t in range(4)]
+    want = {}
+
+    def in_turn(_):
+        for keys in keys_of:
+            want.update({(i, n): table(n) for n in keys for i, table in enumerate(tables)})
+
+    clear_caches()
+    assert not _run_in_threads(in_turn, count=1)
+    clear_caches()
+    got = [{} for _ in range(4)]
+
+    def grow(t):
+        for n in keys_of[t]:
+            for k in range(len(tables)):
+                i = (t + k) % len(tables)
+                got[t][i, n] = tables[i](n)
+
+    assert not _run_in_threads(grow)
     assert {key: value for part in got for key, value in part.items()} == want
 
 
@@ -566,32 +634,45 @@ def test_ode_weights_are_the_product_of_the_derived_lucas_pairs():
                     det = _poly_mul(det, [1, -r * a, a * a * j * (r - j) - (r - 2 * j) ** 2 * b])
                 if r % 2 == 0:
                     det = _poly_mul(det, [1, -a * r // 2])
-                weights = identities._ode_weights(params, r)
+                weights = identities._binom_fold(params, r)
                 assert [1, *(-w for w in reversed(weights))] == det, (a, b, r)
+                assert identities._binom_fold(params, r) is weights  # one memo per (params, r)
+
+
+def _fold_keys():
+    return {key for key in sequences._tables if key[0] == "fold"}
 
 
 def test_binom_fold_keeps_one_list_per_key(monkeypatch):
     # each (params, which, r) key is built from the sequence and its own list alone: the
-    # u window needs no binomial, the v window one math.comb row C(m - 1, .) per index m
+    # u window needs no binomial, the v window one math.comb row C(m - 1, .) per index m;
+    # the weights are made once per (params, r), only past index r, and u and v share them
     seeded = []
     monkeypatch.setattr(identities, "comb", lambda m, j: seeded.append(m) or comb(m, j))
     params = SeqParams(2, 3)
     clear_caches()
-    want = rhs_multinom_u(params, 5, 2000)
+    want = rhs_multinom_u(params, 5, 2000), rhs_multinom_v(params, 5, 2000)
     seeded.clear()
-    assert binom_conv_u(params, 5, 2000) == want
+    assert binom_conv_u(params, 5, 2000) == want[0]
     assert seeded == []
+    assert binom_conv_v(params, 5, 2000) == want[1]
+    assert _fold_keys() == {("fold", params, "u", 5), ("fold", params, "v", 5)}
+    assert identities._binom_fold.cache_info().currsize == 1
     clear_caches()
+    seeded.clear()
     binom_conv_v(FIBONACCI, 1200, 3)
     assert seeded and max(seeded) <= 2
-    assert identities._binom_fold.cache_info().currsize == 1
-    weights, top = identities._binom_fold(FIBONACCI, "v", 1200)
-    assert (weights, len(top)) == ([], 4)
-    # a large r with n = 0 holds one value, not one list per level
-    entries = identities._binom_fold.cache_info().currsize
+    assert _fold_keys() == {("fold", FIBONACCI, "v", 1200)}
+    assert len(sequences._tables["fold", FIBONACCI, "v", 1200]) == 4
+    assert identities._binom_fold.cache_info().currsize == 0
+    # a large r with n = 0 holds one value, not one list per level, and builds no weights
     assert binom_conv_u(params, 400_000, 0) == 0
     assert binom_conv_v(params, 100_000, 0) == 2**100_000
-    assert identities._binom_fold.cache_info().currsize == entries + 2
+    assert _fold_keys() == {
+        ("fold", FIBONACCI, "v", 1200), ("fold", params, "u", 400_000), ("fold", params, "v", 100_000)
+    }
+    assert [len(sequences._tables[key]) for key in sorted(_fold_keys(), key=str)] == [4, 1, 1]
+    assert identities._binom_fold.cache_info().currsize == 0
 
 
 def test_binom_conv_rejects_bad_args():
@@ -630,9 +711,14 @@ def test_binomial_lucas_matches_literal_inner_sum(params):
             identities._binomial_lucas(params, which, 2, 0, 5)
 
 
+def _sequence_keys():
+    return {key for key in sequences._tables if isinstance(key[0], SeqParams)}
+
+
 def test_fold_and_closed_forms_read_separate_sequence_tables():
-    # The fold reads only (params, u/v); the closed forms add only their derived pairs,
-    # (ar, (r-2j)^2 b - a^2 j(r-j)) for j < r/2, u-tables only where r is odd.
+    # The fold reads only (params, u/v) and adds its own fold lists; the closed forms add
+    # only their derived pairs, (ar, (r-2j)^2 b - a^2 j(r-j)) for j < r/2, u-tables only
+    # where r is odd.
     pairs = (BALANCING, SeqParams(-2, 3))
     clear_caches()
     for params in pairs:
@@ -641,7 +727,9 @@ def test_fold_and_closed_forms_read_separate_sequence_tables():
                 binom_conv_u(params, r, n)
                 binom_conv_v(params, r, n)
     own = {(params, which) for params in pairs for which in ("u", "v")}
-    assert set(sequences._tables) == own
+    folds = {("fold", params, which, r) for params in pairs for which in "uv" for r in range(2, 6)}
+    assert _sequence_keys() == own
+    assert set(sequences._tables) == own | folds
     derived = set()
     for params in pairs:
         a, b = params.a, params.b
@@ -652,7 +740,44 @@ def test_fold_and_closed_forms_read_separate_sequence_tables():
             for j in range((r + 1) // 2):
                 pair = SeqParams(a * r, (r - 2 * j) ** 2 * b - a * a * j * (r - j))
                 derived |= {(pair, "v")} | ({(pair, "u")} if r % 2 else set())
-    assert set(sequences._tables) - own == derived - own
+    assert _sequence_keys() - own == derived - own
+    assert set(sequences._tables) - _sequence_keys() == folds
+
+
+def test_closed_forms_and_oracles_grow_separate_store_tables():
+    # the two routes, read off the store's keys: from an empty store no closed form adds an
+    # oracle table, and no oracle adds a closed-form table (T, or a derived-pair sequence
+    # table); each oracle reads only the term tables of its own parameters
+    params = SeqParams(-2, 3)
+    closed = [
+        lambda: rhs_pair_plain(150),
+        lambda: rhs_general_plain(4, 150),
+        *(lambda r=r: rhs_multinom_u(params, r, 60) for r in range(1, 7)),
+        *(lambda r=r: rhs_multinom_v(params, r, 60) for r in range(1, 7)),
+    ]
+    oracles = [
+        lambda: pair_plain_sum(150),
+        lambda: pair_telescope_sum(150),
+        *(lambda r=r: conv_power(BALANCING, r, 150) for r in range(1, 7)),
+        lambda: alt_weighted_conv(4, 150),
+        *(lambda r=r: binom_conv_u(params, r, 60) for r in range(1, 7)),
+        *(lambda r=r: binom_conv_v(params, r, 60) for r in range(1, 7)),
+        lambda: binom_conv_c(3, 60),
+    ]
+    own = {(p, which) for p in (BALANCING, params) for which in "uv"}
+    closed_keys = set()
+    for run in closed:
+        clear_caches()
+        run()
+        # besides term tables, at most T: no f^r, S_2 or fold list
+        assert set(sequences._tables) - _sequence_keys() <= {"T"}
+        closed_keys |= set(sequences._tables)
+    assert closed_keys - own - {"T"}  # the derived-pair tables an oracle must not read
+    for run in oracles:
+        clear_caches()
+        run()
+        assert "T" not in sequences._tables
+        assert _sequence_keys() <= own
 
 
 def test_every_rhs_name_is_public():
@@ -882,13 +1007,13 @@ def test_clear_caches_drops_every_memo():
         if hasattr(cached, "cache_clear")
     }
     assert {
-        *(
-            f"balconv.identities.{name}"
-            for name in ("_ogf_power", "_pair_squares", "_pair_plain_partials", "_binom_fold")
-        ),
-        "balconv.combinatorics.binom",
+        "balconv.identities._ogf_power", "balconv.identities._binom_fold", "balconv.combinatorics.binom"
     } <= set(memos)
-    assert sequences._tables
+    # and every kind of list in the store: terms, f^r, S_2, T and the fold
+    assert {key[0] for key in sequences._tables if not isinstance(key, str)} >= {
+        BALANCING, FIBONACCI, "f^r", "fold"
+    }
+    assert {"S_2", "T"} <= set(sequences._tables)
     for name, cached in memos.items():
         assert cached.cache_info().currsize > 0, name
     clear_caches()

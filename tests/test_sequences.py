@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import sys
 import threading
 
@@ -5,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import balconv
+from balconv import sequences
 from balconv.identities import clear_caches
 from balconv.sequences import (
     BALANCING,
@@ -175,3 +179,19 @@ def test_terms_grow_safely_from_four_threads():
         assert values is final[which] and value == want[which][n]
     for which, values in final.items():
         assert values[: n_max + 1] == want[which]
+
+
+def test_the_table_store_holds_the_package_s_only_lock():
+    # one table policy: every grow-only list grows through sequences.grow under its lock,
+    # so no module of the package holds a lock of its own
+    lock_types = (type(threading.Lock()), type(threading.RLock()))
+    modules = [balconv] + [
+        importlib.import_module(f"balconv.{info.name}") for info in pkgutil.iter_modules(balconv.__path__)
+    ]
+    locks = [
+        (module.__name__, name, value)
+        for module in modules
+        for name, value in vars(module).items()
+        if isinstance(value, lock_types)
+    ]
+    assert len(locks) == 1 and locks[0][2] is sequences._lock

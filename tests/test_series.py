@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from balconv import identities
+from balconv import identities, sequences
 from balconv.identities import clear_caches, conv_power, conv_power_by_enumeration, rhs_general_plain
 from balconv.sequences import BALANCING, FIBONACCI, SeqParams, balancing, u
 from balconv.series import (
@@ -206,22 +206,28 @@ def test_conv_power_matches_closed_form_across_table_blocks(r):
 
 
 def test_ogf_power_registry_holds_p_power_and_one_coefficient_list():
-    # one entry per (params, r): the 2r + 1 trinomial coefficients of
-    # P^r = (1 - a x - b x^2)^r and the list of [x^m] f^r for m = 0..n
+    # one memo entry per (params, r), the 2r + 1 trinomial coefficients of
+    # P^r = (1 - a x - b x^2)^r, and one store list of [x^m] f^r for m = 0..n
     clear_caches()
     for (a, b), r in (((6, -1), 1), ((6, -1), 5), ((-3, -2), 9), ((2, 7), 4)):
         params = SeqParams(a, b)
-        p, g = identities._ogf_power(params, r)
+        p = identities._ogf_power(params, r)
         assert p == tuple(
             sum(comb(r, k) * comb(r - k, d - 2 * k) * (-a) ** (d - 2 * k) * (-b) ** k for k in range(d // 2 + 1))
             for d in range(2 * r + 1)
         )
-        # a request for n leaves exactly n + 1 entries; a smaller one reads them
+        # a request for n leaves exactly n + 1 entries in the same list; a smaller one reads
+        # them, without P^r
+        g = None
         for n, entries in ((r + 3, r + 4), (r + 70, r + 71), (r + 20, r + 71)):
+            hits = identities._ogf_power.cache_info().hits
             conv_power(params, r, n)
-            assert len(g) == entries
-    # no per-order lists: requests at many n share one entry per (params, r)
+            g = g or sequences._tables["f^r", params, r]
+            assert sequences._tables["f^r", params, r] is g and len(g) == entries
+            assert (identities._ogf_power.cache_info().hits > hits) == (n != r + 20)
+    # no per-order lists: requests at many n share one list per (params, r)
     assert identities._ogf_power.cache_info().currsize == 4
+    assert len([key for key in sequences._tables if key[0] == "f^r"]) == 4
     assert all(type(c) is int for c in g)
 
 
