@@ -16,7 +16,6 @@ while :func:`run` executes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -86,6 +85,7 @@ def _write(
     elif args.format == "plain":
         text = plain()
     else:
+        import json  # here only: plain and csv runs never load it
         text = json.dumps(payload(), indent=2) + "\n"
     if args.output is None:
         sys.stdout.write(text)

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 from operator import mul
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import combinatorics, sequences
 from .combinatorics import binom, exact_div, unlimited_int_digits
@@ -447,15 +447,17 @@ def _binomial_lucas(params: SeqParams, which: str, p: int, q: int, n: int) -> in
 def _multinom_sum(params: SeqParams, which: str, sign: int, r: int, n: int) -> int:
     # sum_{j < r/2} sign^j C(r,j) W_j, plus sign^{r/2} C(r, r/2) (ar/2)^n for even r: the j-sum
     # of both general-u/v closed forms.  W_j is _binomial_lucas at p = aj, q = r - 2j >= 1, a
-    # term of x^2 - ar x + a^2 j(r-j) - (r-2j)^2 b.  No helper is named rhs_*: the tracer
-    # times every rhs_* name here as a closed form, so one would be counted twice.
+    # term of x^2 - ar x + a^2 j(r-j) - (r-2j)^2 b.  C(r, j) is carried along the row by
+    # C(r, j+1) = C(r, j) (r-j) / (j+1), exact, so a large r costs no binomial from scratch.
+    # No helper is named rhs_*: the tracer times every rhs_* name here as a closed form, so
+    # one would be counted twice.
     a, half = params.a, r // 2
-    total = sum(
-        sign**j * binom(r, j) * _binomial_lucas(params, which, a * j, r - 2 * j, n)
-        for j in range((r + 1) // 2)
-    )
+    total, c = 0, 1
+    for j in range((r + 1) // 2):
+        total += sign**j * c * _binomial_lucas(params, which, a * j, r - 2 * j, n)
+        c = c * (r - j) // (j + 1)
     if r % 2 == 0:
-        total += sign**half * binom(r, half) * (a * half) ** n
+        total += sign**half * c * (a * half) ** n  # c = C(r, r/2) after the loop
     return total
 
 
@@ -616,7 +618,9 @@ class IdentityInfo:
     ``params``/``r`` are None when the caller chooses them; a chosen r must
     be at least ``min_r``.  ``n_min`` maps the resolved r to the smallest
     valid n.  ``lhs`` is the brute-force oracle and ``rhs`` the closed form,
-    both called as f(params, r, n).
+    both called as f(params, r, n).  The package's one dataclass: every other
+    record is a tuple, but perfbench/tracer.py rebuilds CATALOG with
+    ``dataclasses.replace``.
     """
 
     params: SeqParams | None
@@ -712,8 +716,7 @@ def resolve_identity_args(
     return params, r
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     """One exact mismatch witness."""
 
     n: int
@@ -721,8 +724,7 @@ class Failure:
     rhs: int
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of sweeping one identity over a range of n."""
 
     identity: IdentityId
@@ -758,10 +760,18 @@ def clamp_to_domain(identity: IdentityId, r: int, lo: int | None, hi: int) -> tu
 def evaluate_range(
     identity: IdentityId, params: SeqParams, r: int, lo: int, hi: int
 ) -> Iterator[tuple[int, int, int]]:
-    """Yield (n, oracle value, closed-form value) for n = lo..hi."""
+    """Yield (n, oracle value, closed-form value) for n = lo..hi, in that order.
+
+    The row at hi is computed first, so each table the rows read grows once, to
+    the top of the range, and every lower row reads it as it is.
+    """
+    if lo > hi:
+        return
     info = CATALOG[identity]
-    for n in range(lo, hi + 1):
+    top = hi, info.lhs(params, r, hi), info.rhs(params, r, hi)
+    for n in range(lo, hi):
         yield n, info.lhs(params, r, n), info.rhs(params, r, n)
+    yield top
 
 
 def verify_identity(

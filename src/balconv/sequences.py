@@ -14,7 +14,7 @@ is one grow-only list in the store below, grown only by :func:`grow`.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Hashable, Iterable
 
 from .combinatorics import exact_div
@@ -24,7 +24,6 @@ __all__ = [
     "FIBONACCI",
     "SeqParams",
     "balancing",
-    "fibonacci",
     "grow",
     "held",
     "lucas",
@@ -35,20 +34,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeqParams:
+class SeqParams(namedtuple("SeqParams", "a b")):
     """Recurrence coefficients (a, b); the discriminant a^2 + 4b must be nonzero.
 
     A zero discriminant means a repeated characteristic root, for which the
-    closed forms evaluated elsewhere in this package are not valid.
+    closed forms evaluated elsewhere in this package are not valid.  A tuple,
+    so the equality and hashing of every store key that holds one run in C.
     """
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.discriminant == 0:
-            raise ValueError(f"SeqParams({self.a}, {self.b}): discriminant a^2 + 4b is zero")
+    def __new__(cls, a: int, b: int) -> SeqParams:
+        params = super().__new__(cls, a, b)
+        if params.discriminant == 0:
+            raise ValueError(f"SeqParams({a}, {b}): discriminant a^2 + 4b is zero")
+        return params
 
     @property
     def discriminant(self) -> int:
@@ -121,11 +121,6 @@ def lucas_balancing(n: int) -> int:
     preserves parity here), so the division is exact.
     """
     return exact_div(v(BALANCING, n), 2)
-
-
-def fibonacci(n: int) -> int:
-    """n-th Fibonacci number F_n."""
-    return u(FIBONACCI, n)
 
 
 def lucas(n: int) -> int:

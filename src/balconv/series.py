@@ -69,12 +69,6 @@ class Series:
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
 
-    def coefficient(self, n: int) -> int:
-        """Coefficient of x^n; n beyond the truncation order is an error."""
-        if not 0 <= n <= self.order:
-            raise ValueError(f"coefficient {n} outside trusted range 0..{self.order}")
-        return self._coeffs[n]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
             return NotImplemented

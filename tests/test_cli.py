@@ -22,7 +22,7 @@ from balconv.identities import (
     resolve_identity_args,
     verify_identity,
 )
-from balconv.sequences import BALANCING, FIBONACCI, balancing, fibonacci, lucas, lucas_balancing
+from balconv.sequences import BALANCING, FIBONACCI, balancing, lucas, lucas_balancing, u
 
 #: stdout and exit code of every subcommand in every format, pinned byte for byte.
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"))
@@ -138,7 +138,7 @@ def test_conv_plain_and_binomial():
 NAMED_KINDS = {
     "balancing": (BALANCING, binom_conv_u, 1, balancing),
     "lucas-balancing": (BALANCING, binom_conv_v, 2, lucas_balancing),
-    "fibonacci": (FIBONACCI, binom_conv_u, 1, fibonacci),
+    "fibonacci": (FIBONACCI, binom_conv_u, 1, lambda n: u(FIBONACCI, n)),
     "lucas": (FIBONACCI, binom_conv_v, 1, lucas),
 }
 
@@ -331,12 +331,15 @@ def test_memory_error_exits_2_without_a_traceback(monkeypatch):
 
 
 def _run_child(script, *args, **kwargs):
-    """Run ``python -c script *args`` in a fresh interpreter with this tree's src first on its path."""
+    """Run ``python -c script *args`` in a fresh interpreter with this tree's src first on its path.
+
+    The timeout sits below the per-test deadline of ``conftest.py``, so a hung child is
+    killed and fails its test instead of outliving the run."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     old = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + old if old else "")}
     return subprocess.run(
-        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300, **kwargs
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=100, **kwargs
     )
 
 

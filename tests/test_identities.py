@@ -1,10 +1,16 @@
+import ast
+import dataclasses
+import importlib
+import pkgutil
 import sys
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, prod
 from operator import add
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,6 +24,7 @@ from balconv.identities import (
     PARAM_GRID,
     Failure,
     IdentityId,
+    IdentityInfo,
     VerificationReport,
     alt_weighted_conv,
     binom_conv_c,
@@ -1028,6 +1035,91 @@ def test_clear_caches_drops_every_memo():
 def test_failure_is_value_object():
     assert Failure(3, 1, 2) == Failure(3, 1, 2)
     assert Failure(3, 1, 2) != Failure(3, 1, 3)
+
+
+def test_value_records_are_tuples_and_identity_info_the_only_dataclass():
+    # perfbench/tracer.py rebuilds CATALOG with dataclasses.replace, so IdentityInfo stays a
+    # dataclass; every other record is a tuple, and sequences never imports dataclasses
+    modules = [balconv] + [
+        importlib.import_module(f"balconv.{info.name}") for info in pkgutil.iter_modules(balconv.__path__)
+    ]
+    found = {
+        value for module in modules for value in vars(module).values()
+        if isinstance(value, type) and dataclasses.is_dataclass(value)
+    }
+    assert found == {IdentityInfo}
+    tree = ast.parse(Path(sequences.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "dataclasses" not in imported
+    report = verify_identity(IdentityId.COR_PRINTED_R5, (10, 14))
+    assert isinstance(report, tuple) and isinstance(report.failures[0], tuple)
+    assert isinstance(VerificationReport.passed, property) and not report.passed
+    assert hash(report) == hash(verify_identity(IdentityId.COR_PRINTED_R5, (10, 14)))
+    with pytest.raises(AttributeError):
+        report.checked = 0
+    with pytest.raises(AttributeError):
+        report.failures[0].lhs = 0
+
+
+def _count_grow_calls(monkeypatch) -> list:
+    # identities binds grow by name, so both modules' names are wrapped
+    calls, grow = [], sequences.grow
+
+    def counting(key, seed, n, step):
+        calls.append(key)
+        return grow(key, seed, n, step)
+
+    monkeypatch.setattr(sequences, "grow", counting)
+    monkeypatch.setattr(identities, "grow", counting)
+    return calls
+
+
+def test_a_sweep_grows_each_table_once(monkeypatch):
+    # evaluate_range computes the row at hi first, so each table grows once, to the top
+    # of the range, and every lower row reads it as it is: not one growth per n
+    clear_caches()
+    calls = _count_grow_calls(monkeypatch)
+    report = verify_identity(IdentityId.GENERAL_U, (0, 250), SeqParams(2, 3), 4)
+    assert report.passed and report.checked == 251
+    assert len(calls) == len(set(calls)) == len(sequences._tables) == 4
+
+
+@pytest.mark.parametrize("identity", IdentityId, ids=lambda identity: identity.value)
+def test_no_sweep_grows_a_table_per_n(identity, monkeypatch):
+    # at most twice per key: a fold reads its own terms to index r before a closed form
+    # of the same sweep grows that list to the top
+    clear_caches()
+    calls = _count_grow_calls(monkeypatch)
+    r = 4 if CATALOG[identity].r is None else None
+    report = verify_identity(identity, (None, 250), None, r)
+    assert report.checked > 200
+    assert set(calls) == set(sequences._tables)
+    assert max(Counter(calls).values()) <= 2
+
+
+def _multinom_sum_by_comb(params, which, sign, r, n, row):
+    # identities._multinom_sum with the literal binomial row C(r, 0..r/2) in place of the carried one
+    half = r // 2
+    total = sum(
+        sign**j * row[j] * identities._binomial_lucas(params, which, params.a * j, r - 2 * j, n)
+        for j in range((r + 1) // 2)
+    )
+    if r % 2 == 0:
+        total += sign**half * row[half] * (params.a * half) ** n
+    return total
+
+
+@pytest.mark.parametrize("r", [2000, 2001])
+def test_multinom_closed_forms_at_large_r_match_the_fold_and_a_literal_comb_row(r):
+    params = SeqParams(2, 3)
+    row = [comb(r, j) for j in range(r // 2 + 1)]
+    for n in range(4):
+        assert rhs_multinom_u(params, r, n) == binom_conv_u(params, r, n)  # 0 below n = r
+        assert rhs_multinom_v(params, r, n) == binom_conv_v(params, r, n)
+        for which, sign in (("u" if r % 2 else "v", -1), ("v", 1)):
+            carried = identities._multinom_sum(params, which, sign, r, n)
+            assert carried == _multinom_sum_by_comb(params, which, sign, r, n, row)
 
 
 def test_integrality_never_fires_on_valid_domains():

@@ -15,7 +15,6 @@ from balconv.sequences import (
     FIBONACCI,
     SeqParams,
     balancing,
-    fibonacci,
     lucas,
     lucas_balancing,
     terms,
@@ -60,7 +59,7 @@ def test_lucas_balancing_examples():
 
 
 def test_fibonacci_values():
-    assert [fibonacci(n) for n in range(11)] == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+    assert [u(FIBONACCI, n) for n in range(11)] == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
 
 
 def test_negative_index_rejected():
@@ -77,6 +76,22 @@ def test_zero_discriminant_rejected():
         SeqParams(2, -1)
     with pytest.raises(ValueError):
         SeqParams(-4, -4)
+
+
+def test_seq_params_is_a_tuple_that_keeps_its_check():
+    params = SeqParams(a=2, b=3)
+    assert repr(params) == str(params) == "SeqParams(a=2, b=3)"  # the test ids use ids=str
+    assert params == SeqParams(2, 3) and hash(params) == hash((2, 3)) and params != SeqParams(3, 2)
+    with pytest.raises(AttributeError):
+        params.a = 1
+    with pytest.raises(ValueError):
+        SeqParams(a=2, b=-1)
+    # store keys stay distinct per pair and per sequence
+    clear_caches()
+    for p in (params, SeqParams(3, 2)):
+        for which in "uv":
+            terms(p, which, 3)
+    assert len(sequences._tables) == 4
 
 
 def test_discriminant_values():
