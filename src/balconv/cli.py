@@ -7,10 +7,12 @@ report mismatches), ``series-check`` (exact power-series checks), ``table``
 
 Exit codes: 0 success / all checks pass, 1 verification found mismatches
 (report still emitted), 2 usage or domain error, an unwritable ``--output``,
-or a run out of memory.  A large r or n only makes a run slower: no oracle
-table recurses.  All integers in machine output are decimal strings; they
-outgrow 64-bit types quickly, so CPython's int/str digit limit is lifted
-while :func:`run` executes.
+or a run out of memory.  No table recurses, so a large r or n never
+overflows the stack.  But a table holds every value up to n, so a large n
+can exhaust memory (``conv --r 3 --n 100000`` needs more than 1.5 GB); the
+``MemoryError`` then exits 2.  All integers in machine output are decimal
+strings; they outgrow 64-bit types quickly, so CPython's int/str digit limit
+is lifted while :func:`run` executes.
 """
 
 from __future__ import annotations
@@ -127,6 +129,7 @@ def _identity_args(args: argparse.Namespace) -> tuple[IdentityId, SeqParams, int
 def _cmd_seq(args: argparse.Namespace) -> int:
     params, which, divisor = _kind_spec(args)
     term = u if which == "u" else v
+    term(params, args.to)  # top first: the table grows once, every lower read finds it
     values = [exact_div(term(params, n), divisor) for n in range(args.to + 1)]
     _write(
         args,

@@ -51,7 +51,6 @@ __all__ = [
     "Failure",
     "IdentityId",
     "IdentityInfo",
-    "PARAM_GRID",
     "VerificationReport",
     "alt_weighted_conv",
     "binom_conv_c",
@@ -83,16 +82,6 @@ __all__ = [
     "rhs_triple_alt",
     "verify_identity",
 ]
-
-#: Parameter pairs used for family-wide sweeps: covers odd/even discriminant,
-#: both signs of b, and both named specializations.
-PARAM_GRID: tuple[SeqParams, ...] = (
-    BALANCING,
-    FIBONACCI,
-    SeqParams(2, 1),
-    SeqParams(1, 2),
-    SeqParams(3, 2),
-)
 
 
 def clear_caches() -> None:

@@ -15,9 +15,9 @@ conservative:
 Every series the identities build has integer coefficients, so a
 coefficient is a plain ``int`` and a Cauchy product multiplies ints.
 
-Division by (1 - x^2)^k never goes through general series inversion: the
-expansion is written down directly by :func:`geom_even_pow`, whose
-coefficients are binomials.
+Nothing here divides by a series: the checks are stated multiplied through
+by their denominators, powers of (1 - x^2) written down by
+:func:`one_minus_x2_pow` from binomials.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .sequences import BALANCING, SeqParams
 
 __all__ = [
     "Series",
-    "geom_even_pow",
     "ogf",
+    "one_minus_x2_pow",
     "verify_ogf_square_relation",
     "verify_power_expansion",
 ]
@@ -182,37 +182,27 @@ def ogf(params: SeqParams, order: int) -> Series:
     return Series(coeffs)
 
 
-def geom_even_pow(m: int, order: int) -> Series:
-    """(1 - x^2)^m truncated at ``order``.
-
-    For m >= 0 this is the plain binomial polynomial.  For m < 0 it is the
-    even geometric expansion sum_i binom(i - m - 1, -m - 1) x^{2i}.
-    """
+def one_minus_x2_pow(m: int, order: int) -> Series:
+    """The polynomial (1 - x^2)^m (m >= 0) truncated at ``order``."""
+    if m < 0:
+        raise ValueError(f"one_minus_x2_pow: m must be nonnegative, got {m}")
     if order < 0:
-        raise ValueError(f"geom_even_pow: order must be nonnegative, got {order}")
+        raise ValueError(f"one_minus_x2_pow: order must be nonnegative, got {order}")
     coeffs = [0] * (order + 1)
-    if m >= 0:
-        for i in range(min(m, order // 2) + 1):
-            coeffs[2 * i] = (-1) ** i * binom(m, i)
-    else:
-        s = -m
-        for i in range(order // 2 + 1):
-            coeffs[2 * i] = binom(i + s - 1, s - 1)
+    for i in range(min(m, order // 2) + 1):
+        coeffs[2 * i] = (-1) ** i * binom(m, i)
     return Series(coeffs)
 
 
 def verify_ogf_square_relation(order: int) -> bool:
     """Check (1 - x^2) f(x)^2 = x^2 f'(x) for the balancing OGF f, coefficientwise.
 
-    Exact integer computation; True means every coefficient matches on the
-    common trusted prefix (here the full requested window).
+    This is :func:`verify_power_expansion` at r = 2; both sides are trusted
+    to order + 1.
     """
     if order < 2:
         raise ValueError(f"verify_ogf_square_relation: order must be >= 2, got {order}")
-    f = ogf(BALANCING, order)
-    lhs = geom_even_pow(1, order) * f * f
-    rhs = f.derivative().shift(2)
-    return lhs.agrees_with(rhs)
+    return verify_power_expansion(2, order)
 
 
 def verify_power_expansion(r: int, order: int) -> bool:
@@ -224,11 +214,17 @@ def verify_power_expansion(r: int, order: int) -> bool:
             + sum_{k=1}^{r-2} [ sum_{j=0}^{k-1} C(k,j) C(r-2,k-j-1) x^{2r-k+2j-2} ]
                               / (k (r-k-2)! (1-x^2)^{r+k-1}) * f^{(r-k-1)}
 
-    Every (1-x^2)^{-e} factor is expanded with :func:`geom_even_pow`.  Both
-    sides are multiplied through by (r-1)!, so every factor is an integer:
-    term k's scale (r-1)! / (k (r-k-2)!) is exact because (r-1)!/(r-k-2)! is
-    a product of k+1 consecutive integers, which (k+1)! divides.  At r = 2
-    the k-sum is empty and this reduces to the squared relation.
+    is checked multiplied through by (r-1)! (1-x^2)^{2r-3}, so every factor is
+    a polynomial with integer coefficients or a derivative of f:
+
+        (r-1)! (1-x^2)^{2r-3} f^r = x^{2r-2} (1-x^2)^{r-2} f^{(r-1)}
+            + sum_k (r-1)!/(k (r-k-2)!) [ ... ] (1-x^2)^{r-k-2} f^{(r-k-1)}
+
+    Term k's scale is exact because (r-1)!/(r-k-2)! is a product of k+1
+    consecutive integers, which (k+1)! divides.  (1-x^2)^{2r-3} has constant
+    term 1, so the multiplied identity holds on a truncation exactly when the
+    original does.  Both sides are trusted to order + r - 1.  At r = 2 the
+    k-sum is empty and this is the square relation.
     """
     if r < 2:
         raise ValueError(f"verify_power_expansion: r must be >= 2, got {r}")
@@ -236,10 +232,10 @@ def verify_power_expansion(r: int, order: int) -> bool:
         # f^{(r-1)} needs r - 1 trusted coefficients beyond x^0
         raise ValueError(f"verify_power_expansion: order must be >= r - 1 = {r - 1}, got {order}")
     f = ogf(BALANCING, order)
-    lhs = f.pow(r).scale(factorial(r - 1))
-    rhs = (f.derivative(r - 1) * geom_even_pow(-(r - 1), order)).shift(2 * r - 2)
+    lhs = (one_minus_x2_pow(2 * r - 3, order) * f.pow(r)).scale(factorial(r - 1))
+    rhs = (f.derivative(r - 1) * one_minus_x2_pow(r - 2, order)).shift(2 * r - 2)
     for k in range(1, r - 1):
-        base = f.derivative(r - k - 1) * geom_even_pow(-(r + k - 1), order)
+        base = f.derivative(r - k - 1) * one_minus_x2_pow(r - k - 2, order)
         scale_k = factorial(r - 1) // (k * factorial(r - k - 2))
         for j in range(k):
             weight = binom(k, j) * binom(r - 2, k - j - 1)

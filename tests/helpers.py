@@ -1,5 +1,6 @@
-"""Reference functions that only the tests use.
+"""Reference data and functions that only the tests use.
 
+``PARAM_GRID`` holds the parameter pairs of the family-wide sweeps;
 ``multinomial`` weighs the compositions in the binomial-convolution
 enumeration; ``check_cross_recurrence`` ties the balancing and
 Lucas-balancing tables together; ``pair_plain_by_terms`` is the pair-plain
@@ -11,7 +12,17 @@ from __future__ import annotations
 from math import comb
 from typing import Sequence
 
-from balconv.sequences import balancing, lucas_balancing
+from balconv.sequences import BALANCING, FIBONACCI, SeqParams, balancing, lucas_balancing
+
+#: Parameter pairs used for family-wide sweeps: covers odd/even discriminant,
+#: both signs of b, and both named specializations.
+PARAM_GRID: tuple[SeqParams, ...] = (
+    BALANCING,
+    FIBONACCI,
+    SeqParams(2, 1),
+    SeqParams(1, 2),
+    SeqParams(3, 2),
+)
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:

@@ -13,7 +13,6 @@ from fractions import Fraction
 from balconv.cli import run
 from balconv.combinatorics import IntegralityError
 from balconv.identities import (
-    PARAM_GRID,
     IdentityId,
     alt_weighted_conv,
     conv_power,
@@ -35,6 +34,7 @@ from balconv.identities import (
 )
 from balconv.sequences import BALANCING, balancing, lucas_balancing, u, v
 from balconv.series import verify_ogf_square_relation, verify_power_expansion
+from helpers import PARAM_GRID
 
 
 def _criterion(num, label, limit_s, body):

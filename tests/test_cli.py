@@ -5,11 +5,12 @@ import os
 import resource
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from balconv import cli
+from balconv import cli, sequences
 from balconv.cli import run
 from balconv.combinatorics import unlimited_int_digits
 from balconv.identities import (
@@ -18,11 +19,12 @@ from balconv.identities import (
     binom_conv_c,
     binom_conv_u,
     binom_conv_v,
+    clear_caches,
     report_from_dict,
     resolve_identity_args,
     verify_identity,
 )
-from balconv.sequences import BALANCING, FIBONACCI, balancing, lucas, lucas_balancing, u
+from balconv.sequences import BALANCING, FIBONACCI, SeqParams, balancing, lucas, lucas_balancing, u
 
 #: stdout and exit code of every subcommand in every format, pinned byte for byte.
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"))
@@ -119,6 +121,32 @@ def test_seq_formats_and_kinds():
     assert code == 0 and out == "0,1,2,5,12\n"
     code, out, _ = invoke(["seq", "--kind", "lucas", "--to", "3", "--format", "json"])
     assert code == 0 and json.loads(out)["values"] == ["2", "1", "3", "4"]
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--kind", "balancing"], (BALANCING, "u")),
+        (["--kind", "lucas-balancing"], (BALANCING, "v")),
+        (["--kind", "v", "--a", "2", "--b", "3"], (SeqParams(2, 3), "v")),
+    ],
+    ids=["balancing", "lucas-balancing", "v"],
+)
+def test_seq_grows_its_table_once(monkeypatch, flags, key):
+    # the term at --to is read first, so one grow() fills the table and every
+    # lower term is read from it
+    clear_caches()
+    calls = Counter()
+    grow = sequences.grow
+
+    def counted(table, *rest):
+        calls[table] += 1
+        return grow(table, *rest)
+
+    monkeypatch.setattr(sequences, "grow", counted)
+    code, out, _ = invoke(["seq", *flags, "--to", "80", "--format", "csv"])
+    assert code == 0 and len(out.split(",")) == 81
+    assert calls == {key: 1}
 
 
 def test_conv_plain_and_binomial():

@@ -21,7 +21,6 @@ from balconv import combinatorics, identities, sequences, series
 from balconv.combinatorics import IntegralityError, binom
 from balconv.identities import (
     CATALOG,
-    PARAM_GRID,
     Failure,
     IdentityId,
     IdentityInfo,
@@ -65,7 +64,7 @@ from balconv.sequences import (
     u,
     v,
 )
-from helpers import multinomial, pair_plain_by_terms
+from helpers import PARAM_GRID, multinomial, pair_plain_by_terms
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from balconv import identities, sequences
+from balconv import cli, identities, sequences, series
 from balconv.identities import clear_caches, conv_power, conv_power_by_enumeration, rhs_general_plain
 from balconv.sequences import BALANCING, FIBONACCI, SeqParams, balancing, u
 from balconv.series import (
     Series,
-    geom_even_pow,
     ogf,
+    one_minus_x2_pow,
     verify_ogf_square_relation,
     verify_power_expansion,
 )
@@ -101,18 +101,23 @@ def test_pow():
     assert [b.pow(r).order for r in range(6)] == [10, 10, 11, 12, 13, 14]
 
 
-def test_geom_even_pow_examples():
-    assert geom_even_pow(-1, 4).coeffs == (1, 0, 1, 0, 1)
-    assert geom_even_pow(1, 4).coeffs == (1, 0, -1, 0, 0)
-    assert geom_even_pow(2, 6).coeffs == (1, 0, -2, 0, 1, 0, 0)
-    assert geom_even_pow(-2, 6).coeffs == (1, 0, 2, 0, 3, 0, 4)
+def test_one_minus_x2_pow_examples():
+    assert one_minus_x2_pow(0, 3).coeffs == (1, 0, 0, 0)
+    assert one_minus_x2_pow(1, 4).coeffs == (1, 0, -1, 0, 0)
+    assert one_minus_x2_pow(2, 6).coeffs == (1, 0, -2, 0, 1, 0, 0)
+    assert one_minus_x2_pow(3, 4).coeffs == (1, 0, -3, 0, 3)  # truncated below degree 6
+    with pytest.raises(ValueError):
+        one_minus_x2_pow(-1, 5)  # no geometric expansion: nothing divides by (1 - x^2)
+    with pytest.raises(ValueError):
+        one_minus_x2_pow(1, -1)
 
 
-def test_geom_even_pow_inverse_pairs():
-    # (1-x^2)^m * (1-x^2)^-m == 1 on the common window
-    for m in (1, 2, 3):
-        prod = geom_even_pow(m, 20) * geom_even_pow(-m, 20)
-        assert prod.agrees_with(Series([1], order=20))
+def test_one_minus_x2_pow_multiplies_by_adding_exponents():
+    # (1-x^2)^m * (1-x^2)^k == (1-x^2)^(m+k) on the common window
+    for m in range(4):
+        for k in range(4):
+            prod = one_minus_x2_pow(m, 20) * one_minus_x2_pow(k, 20)
+            assert prod.agrees_with(one_minus_x2_pow(m + k, 20))
 
 
 def test_ogf_examples():
@@ -169,13 +174,14 @@ def test_mul_of_sparse_operands_matches_literal_double_loop(f, g):
 
 
 def test_mul_of_structured_sparse_operands_matches_literal_double_loop():
-    # the operands the library multiplies: even-power expansions, shifted
-    # series, and the 3-term P = 1 - a x - b x^2 padded to order 2r
+    # even-power series like the polynomials (1 - x^2)^m and the expansions of
+    # 1/(1 - x^2)^3 and 1/(1 - x^2), shifted series, and the 3-term
+    # P = 1 - a x - b x^2 padded to order 2r
     operands = [
-        geom_even_pow(-3, 20),
-        geom_even_pow(2, 20),
+        Series([0 if i % 2 else comb(i // 2 + 2, 2) for i in range(21)]),
+        one_minus_x2_pow(2, 20),
         ogf(BALANCING, 12).shift(5),
-        geom_even_pow(-1, 9).shift(4),
+        Series([1 - i % 2 for i in range(10)]).shift(4),
         *(Series([1, -a, -b], order=2 * r) for a, b, r in ((6, 1, 1), (6, 1, 7), (-3, 2, 4), (0, -5, 3))),
     ]
     for f in operands:
@@ -285,8 +291,32 @@ def test_power_expansion_rejects_small_r():
 
 
 def test_power_expansion_reduces_to_square_relation_at_r2():
-    # same truth value by construction; both must hold
-    assert verify_power_expansion(2, 40) == verify_ogf_square_relation(40)
+    # (1 - x^2) f^2 = x^2 f' read on plain coefficient lists: [x^n] f^2 = S(n), a literal
+    # Cauchy sum of balancing numbers, so S(n) - S(n - 2) = (n - 1) B_{n-1}
+    b = [balancing(n) for n in range(42)]
+    square = [sum(b[j] * b[n - j] for j in range(n + 1)) for n in range(42)]
+    for n in range(1, 42):
+        assert square[n] - (square[n - 2] if n >= 2 else 0) == (n - 1) * b[n - 1]
+    assert verify_power_expansion(2, 40) and verify_ogf_square_relation(40)
+
+
+@pytest.mark.parametrize("index", [1, 4, 25])
+def test_a_perturbed_ogf_fails_every_check(monkeypatch, capsys, index):
+    # one coefficient of f off by one: the multiplied-through checks still fail,
+    # and series-check reports that with exit 1
+    exact = series.ogf
+
+    def perturbed(params, order):
+        coeffs = list(exact(params, order).coeffs)
+        coeffs[index] += 1
+        return Series(coeffs)
+
+    monkeypatch.setattr(series, "ogf", perturbed)
+    assert not verify_ogf_square_relation(30)
+    for r in range(2, 7):
+        assert not verify_power_expansion(r, 30), r
+    assert cli.run(["series-check", "--order", "30"]) == 1
+    assert capsys.readouterr().out == "ogf-square order=30: FAIL\n"
 
 
 def test_scale():

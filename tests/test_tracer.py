@@ -33,6 +33,7 @@ ARGVS = {
     "verify": ["verify", "--identity", "cor-printed-r5", "--n-max", "13"],
     "verify-general-u": ["verify", "--identity", "general-u", "--r", "4", "--a", "-2", "--b", "3", "--n-max", "30"],
     "series-check": ["series-check", "--r", "3", "--order", "20", "--format", "csv"],
+    "series-check-square": ["series-check", "--order", "40"],
     "table": ["table", "--identity", "general-alt", "--r", "4", "--n-max", "12"],
     "verify-pair-plain": ["verify", "--identity", "pair-plain", "--n-max", "40"],
     "table-pair-telescope": ["table", "--identity", "pair-telescope", "--n-max", "20", "--format", "json"],
