@@ -34,7 +34,6 @@ from .sequences import (
     SeqParams,
     balancing,
     grow,
-    held,
     lucas,
     lucas_balancing,
     terms,
@@ -100,7 +99,7 @@ def clear_caches() -> None:
 
 @lru_cache(maxsize=None)
 def _ogf_power(params: SeqParams, r: int) -> tuple[int, ...]:
-    # The 2r + 1 coefficients of P^r, fetched by conv_power only while its list grows.
+    # The 2r + 1 coefficients of P^r, fetched by conv_power's make only while its list grows.
     return Series([1, -params.a, -params.b], order=2 * r).pow(r).coeffs
 
 
@@ -121,11 +120,12 @@ def conv_power(params: SeqParams, r: int, n: int) -> int:
         raise ValueError(f"conv_power: n must be nonnegative, got {n}")
     if n < r:
         return 0
-    g = held(("f^r", params, r), n)
-    if g is None:
+
+    def make():
         p = _ogf_power(params, r)[1:]  # p_1..p_{2r}, paired with g_{m-1}, g_{m-2}, ...
-        g = grow(("f^r", params, r), (), n, lambda g, m: (m == r) - sum(map(mul, p, reversed(g))))
-    return g[n]
+        return (), lambda g, m: (m == r) - sum(map(mul, p, reversed(g)))
+
+    return grow(("f^r", params, r), n, make)[n]
 
 
 def conv_power_by_enumeration(params: SeqParams, r: int, n: int) -> int:
@@ -168,38 +168,34 @@ def alt_weighted_conv(r: int, n: int) -> int:
     return total
 
 
-def _pair_square(m: int) -> int:
-    """S_2(m) = sum_{j=1}^{m-1} B_j B_{m-j}, the coefficient m of f^2, f = x / P.
+def pair_plain_sum(n: int) -> int:
+    """S_2(n) = sum_{j=1}^{n-1} B_j B_{n-j}, the coefficient n of f^2, f = x / P.
 
     P f^2 = x f, P = 1 - a x - b x^2 at (a, b) = (6, -1), so reading
-    coefficient m of both sides gives S_2(m) = a S_2(m-1) + b S_2(m-2) + B_{m-1},
+    coefficient n of both sides gives S_2(n) = a S_2(n-1) + b S_2(n-2) + B_{n-1},
     with S_2(0) = S_2(1) = 0.  The list is the store's "S_2" table
-    (:func:`sequences.grow`), grown from m = 0, so each value costs O(1) big-int
+    (:func:`sequences.grow`), grown from n = 0, so each value costs O(1) big-int
     products and is made once per process.
     """
-    s = held("S_2", m)
-    if s is None:
-        a, b, B = BALANCING.a, BALANCING.b, terms(BALANCING, "u", m)
-        s = grow("S_2", (0, 0), m, lambda s, k: a * s[k - 1] + b * s[k - 2] + B[k - 1])
-    return s[m]
+    if n < 0:
+        raise ValueError(f"pair_plain_sum: n must be nonnegative, got {n}")
+
+    def make():
+        a, b, B = BALANCING.a, BALANCING.b, terms(BALANCING, "u", n)
+        return (0, 0), lambda s, k: a * s[k - 1] + b * s[k - 2] + B[k - 1]
+
+    return grow("S_2", n, make)[n]
 
 
 def pair_telescope_sum(n: int) -> int:
     """sum_{j=1}^{n} (B_j B_{n-j+1} - B_{j-1} B_{n-j}); total, empty sum is 0.
 
     With B_0 = 0 the two sums are S_2(n+1) and S_2(n-1), the second read with i = j - 1;
-    both come from the one S_2 list (:func:`_pair_square`).
+    both come from the one S_2 list (:func:`pair_plain_sum`).
     """
     if n < 0:
         raise ValueError(f"pair_telescope_sum: n must be nonnegative, got {n}")
-    return _pair_square(n + 1) - _pair_square(n - 1) if n else 0
-
-
-def pair_plain_sum(n: int) -> int:
-    """sum_{j=1}^{n-1} B_j B_{n-j}, the two-fold convolution S_2(n) (:func:`_pair_square`)."""
-    if n < 0:
-        raise ValueError(f"pair_plain_sum: n must be nonnegative, got {n}")
-    return _pair_square(n)
+    return pair_plain_sum(n + 1) - pair_plain_sum(n - 1) if n else 0
 
 
 # ---------------------------------------------------------------------------
@@ -247,24 +243,25 @@ def _fold_levels(params: SeqParams, which: str, r: int, n: int) -> list[int]:
     """
     if r == 1:
         return terms(params, which, n)
-    top = held(("fold", params, which, r), n)
-    if top is not None:
-        return top
-    base = terms(params, which, min(n, r))
-    weights = _binom_fold(params, r) if n > r else ()
 
-    def step(top: list[int], m: int) -> int:
-        if m > r:
-            return sum(map(mul, weights, top[m - r - 1:m]))
-        if which == "u":
-            return factorial(r) if m == r else 0
-        if m == 0:
-            return 2**r
-        row = [comb(m - 1, j) for j in range(m + 1)]  # C(m-1, m) = 0
-        bracket = zip(row, row[1:], base[1:m + 1], reversed(top))
-        return exact_div(sum((r * c - d) * w * h for c, d, w, h in bracket), 2)
+    def make():
+        base = terms(params, which, min(n, r))
+        weights = _binom_fold(params, r) if n > r else ()
 
-    return grow(("fold", params, which, r), (), n, step)
+        def step(top: list[int], m: int) -> int:
+            if m > r:
+                return sum(map(mul, weights, top[m - r - 1:m]))
+            if which == "u":
+                return factorial(r) if m == r else 0
+            if m == 0:
+                return 2**r
+            row = [comb(m - 1, j) for j in range(m + 1)]  # C(m-1, m) = 0
+            bracket = zip(row, row[1:], base[1:m + 1], reversed(top))
+            return exact_div(sum((r * c - d) * w * h for c, d, w, h in bracket), 2)
+
+        return (), step
+
+    return grow(("fold", params, which, r), n, make)
 
 
 def _binom_conv(name: str, params: SeqParams, which: str, r: int, n: int) -> int:
@@ -392,11 +389,12 @@ def rhs_pair_plain(n: int) -> int:
     """
     if n < 2:
         raise ValueError(f"rhs_pair_plain: n must be >= 2, got {n}")
-    t = held("T", n)
-    if t is None:
+
+    def make():
         B = terms(BALANCING, "u", n)
-        t = grow("T", (0, 0), n, lambda t, k: t[k - 2] + (k - 1) * B[k - 1])
-    return t[n]
+        return (0, 0), lambda t, k: t[k - 2] + (k - 1) * B[k - 1]
+
+    return grow("T", n, make)[n]
 
 
 def rhs_general_plain(r: int, n: int) -> int:
@@ -555,30 +553,13 @@ Side = Callable[[SeqParams, int, int], int]
 
 
 def _of_n(fn: Callable[[int], int]) -> Side:
-    """Catalog side f(params, r, n) that calls ``fn(n)``.
-
-    Only the function's name is kept; it is looked up in this module on
-    every call, so a wrapper installed over the module global later is the
-    one that runs.
-    """
-    name = fn.__name__
-
-    def side(params: SeqParams, r: int, n: int) -> int:
-        return globals()[name](n)
-
-    side.__name__ = name
-    return side
+    """Catalog side f(params, r, n) that calls ``fn(n)``."""
+    return lambda params, r, n: fn(n)
 
 
 def _of_r_n(fn: Callable[[int, int], int]) -> Side:
-    """Catalog side f(params, r, n) that calls ``fn(r, n)``, looked up as in :func:`_of_n`."""
-    name = fn.__name__
-
-    def side(params: SeqParams, r: int, n: int) -> int:
-        return globals()[name](r, n)
-
-    side.__name__ = name
-    return side
+    """Catalog side f(params, r, n) that calls ``fn(r, n)``."""
+    return lambda params, r, n: fn(r, n)
 
 
 # Domain rules: the smallest n a family's closed form admits, given r.
@@ -607,9 +588,10 @@ class IdentityInfo:
     ``params``/``r`` are None when the caller chooses them; a chosen r must
     be at least ``min_r``.  ``n_min`` maps the resolved r to the smallest
     valid n.  ``lhs`` is the brute-force oracle and ``rhs`` the closed form,
-    both called as f(params, r, n).  The package's one dataclass: every other
-    record is a tuple, but perfbench/tracer.py rebuilds CATALOG with
-    ``dataclasses.replace``.
+    both called as f(params, r, n) and bound to the function objects
+    themselves.  The package's one dataclass: every other record is a tuple,
+    but perfbench/tracer.py rebuilds CATALOG with ``dataclasses.replace``,
+    wrapping each row's sides as it goes.
     """
 
     params: SeqParams | None

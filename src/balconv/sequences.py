@@ -8,7 +8,7 @@ recurrence w_n = a*w_{n-1} + b*w_{n-2}:
 
 Lucas-balancing numbers are v_n / 2 at (6, -1); the halving is always exact.
 Every table of the package, these terms and the lists of :mod:`.identities`,
-is one grow-only list in the store below, grown only by :func:`grow`.
+is one grow-only list in the store below, read and grown only through :func:`grow`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "SeqParams",
     "balancing",
     "grow",
-    "held",
     "lucas",
     "lucas_balancing",
     "terms",
@@ -66,18 +65,16 @@ _tables: dict[Hashable, list[int]] = {}
 _lock = threading.Lock()
 
 
-def held(key: Hashable, n: int) -> list[int] | None:
-    """The live list under ``key`` if it holds index n, else None: one lookup and a
-    length check, so callers build a seed and a step only when the list must grow."""
+def grow(key: Hashable, n: int, make: Callable[[], tuple[Iterable[int], Callable]]) -> list[int]:
+    """The live list under ``key``, grown to hold index n; callers only read it.  A list
+    that holds n is returned as it is.  Otherwise ``make()``, run outside the lock so it
+    may grow a table it reads, returns ``(seed, step)``; under the lock, a missing list
+    starts as ``seed``, then ``step(values, m)`` is appended for each missing index m in
+    order.  The lock is not reentrant, so ``step`` must not call grow()."""
     values = _tables.get(key)
-    return values if values is not None and len(values) > n else None
-
-
-def grow(key: Hashable, seed: Iterable[int], n: int, step: Callable[[list, int], int]) -> list[int]:
-    """The live list under ``key``, grown to hold index n: under the store's lock, a
-    missing list starts as ``seed``, then ``step(values, m)`` is appended for each
-    missing index m in order.  The lock is not reentrant, so ``step`` must not call
-    grow(): a table it reads is fetched before.  Callers only read the list."""
+    if values is not None and len(values) > n:
+        return values
+    seed, step = make()
     with _lock:
         values = _tables.setdefault(key, list(seed))
         for m in range(len(values), n + 1):
@@ -101,12 +98,12 @@ def v(params: SeqParams, n: int) -> int:
 
 def terms(params: SeqParams, which: str, n: int) -> list[int]:
     """The store's list of ``which`` ("u" or "v") terms, grown to hold index n (:func:`grow`)."""
-    values = held((params, which), n)
-    if values is None:
-        a, b = params.a, params.b
-        seed = (0, 1) if which == "u" else (2, a)
-        values = grow((params, which), seed, n, lambda w, m: a * w[m - 1] + b * w[m - 2])
-    return values
+
+    def make():
+        a, b = params
+        return (0, 1) if which == "u" else (2, a), lambda w, m: a * w[m - 1] + b * w[m - 2]
+
+    return grow((params, which), n, make)
 
 
 def balancing(n: int) -> int:

@@ -133,15 +133,18 @@ def test_seq_formats_and_kinds():
     ids=["balancing", "lucas-balancing", "v"],
 )
 def test_seq_grows_its_table_once(monkeypatch, flags, key):
-    # the term at --to is read first, so one grow() fills the table and every
-    # lower term is read from it
+    # the term at --to is read first, so one growth fills the table and every
+    # lower term is read from it: grow() calls make only when a list must grow
     clear_caches()
     calls = Counter()
     grow = sequences.grow
 
-    def counted(table, *rest):
-        calls[table] += 1
-        return grow(table, *rest)
+    def counted(table, n, make):
+        def counted_make():
+            calls[table] += 1
+            return make()
+
+        return grow(table, n, counted_make)
 
     monkeypatch.setattr(sequences, "grow", counted)
     code, out, _ = invoke(["seq", *flags, "--to", "80", "--format", "csv"])

@@ -304,7 +304,7 @@ def test_rhs_pair_plain_never_reads_the_oracle_routes(monkeypatch):
         raise AssertionError("the pair-plain closed form read an oracle route")
 
     clear_caches()
-    for name in ("_pair_square", "conv_power", "_ogf_power", "Series"):
+    for name in ("pair_plain_sum", "pair_telescope_sum", "conv_power", "_ogf_power", "Series"):
         monkeypatch.setattr(identities, name, refuse)
     got = {n: rhs_pair_plain(n) for n in (90, 2, 3, 41, 200)}
     assert set(sequences._tables) == {"T", (BALANCING, "u")}
@@ -1061,13 +1061,17 @@ def test_value_records_are_tuples_and_identity_info_the_only_dataclass():
         report.failures[0].lhs = 0
 
 
-def _count_grow_calls(monkeypatch) -> list:
-    # identities binds grow by name, so both modules' names are wrapped
+def _count_growths(monkeypatch) -> list:
+    # counts growths, not reads: the key is logged when grow() calls make, which it does
+    # only when the list must grow; identities binds grow by name, so both names are wrapped
     calls, grow = [], sequences.grow
 
-    def counting(key, seed, n, step):
-        calls.append(key)
-        return grow(key, seed, n, step)
+    def counting(key, n, make):
+        def counted_make():
+            calls.append(key)
+            return make()
+
+        return grow(key, n, counted_make)
 
     monkeypatch.setattr(sequences, "grow", counting)
     monkeypatch.setattr(identities, "grow", counting)
@@ -1078,7 +1082,7 @@ def test_a_sweep_grows_each_table_once(monkeypatch):
     # evaluate_range computes the row at hi first, so each table grows once, to the top
     # of the range, and every lower row reads it as it is: not one growth per n
     clear_caches()
-    calls = _count_grow_calls(monkeypatch)
+    calls = _count_growths(monkeypatch)
     report = verify_identity(IdentityId.GENERAL_U, (0, 250), SeqParams(2, 3), 4)
     assert report.passed and report.checked == 251
     assert len(calls) == len(set(calls)) == len(sequences._tables) == 4
@@ -1089,12 +1093,41 @@ def test_no_sweep_grows_a_table_per_n(identity, monkeypatch):
     # at most twice per key: a fold reads its own terms to index r before a closed form
     # of the same sweep grows that list to the top
     clear_caches()
-    calls = _count_grow_calls(monkeypatch)
+    calls = _count_growths(monkeypatch)
     r = 4 if CATALOG[identity].r is None else None
     report = verify_identity(identity, (None, 250), None, r)
     assert report.checked > 200
     assert set(calls) == set(sequences._tables)
     assert max(Counter(calls).values()) <= 2
+
+
+#: One read per store key kind: the terms, f^r, S_2, T and a fold read past its index r.
+_TABLE_READS = {
+    "terms": lambda n: sequences.terms(SeqParams(2, 3), "v", n)[n],
+    "f^r": lambda n: conv_power(BALANCING, 3, n),
+    "S_2": pair_plain_sum,
+    "T": rhs_pair_plain,
+    "fold": lambda n: binom_conv_v(SeqParams(2, 3), 4, n),
+}
+
+
+@pytest.mark.parametrize("read", _TABLE_READS.values(), ids=_TABLE_READS)
+def test_a_second_read_makes_nothing(read, monkeypatch):
+    # grow() calls make only when a list must grow, so once a table holds its top a read
+    # at the top or below it builds no seed or step and fetches no P^r, weights or terms
+    def refuse(*args, **kwargs):
+        raise AssertionError("a read of a grown table fetched what only growth needs")
+
+    clear_caches()
+    read(90)
+    calls = _count_growths(monkeypatch)
+    for name in ("_ogf_power", "_binom_fold", "terms"):
+        monkeypatch.setattr(identities, name, refuse)
+    got = {n: read(n) for n in (90, 89, 40, 5, 2)}
+    assert calls == []
+    monkeypatch.undo()
+    clear_caches()
+    assert got == {n: read(n) for n in got}
 
 
 def _multinom_sum_by_comb(params, which, sign, r, n, row):

@@ -22,8 +22,9 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 
 #: Test id -> argv.  The halved Lucas-balancing fold, the fold level that
 #: general-u's closed form shares with its oracle, a plain convolution read
-#: from its coefficient list, and a sweep that extends that list one n at a
-#: time run under the tracer too.
+#: from its coefficient list, a sweep that extends that list one n at a
+#: time, and a catalog side bound to ``binom_conv_c`` itself run under the
+#: tracer too.
 ARGVS = {
     "seq": ["seq", "--kind", "lucas-balancing", "--to", "6"],
     "conv": ["conv", "--kind", "v", "--a", "1", "--b", "2", "--r", "3", "--n", "9", "--binomial"],
@@ -39,6 +40,7 @@ ARGVS = {
     "table-pair-telescope": ["table", "--identity", "pair-telescope", "--n-max", "20", "--format", "json"],
     "verify-general-v-r5": ["verify", "--identity", "general-v", "--r", "5", "--a", "4", "--b", "-3", "--n-max", "40"],
     "verify-general-plain-blocks": ["verify", "--identity", "general-plain", "--r", "3", "--n-min", "60", "--n-max", "70"],
+    "verify-binom-pair-c": ["verify", "--identity", "binom-pair-c", "--n-max", "30"],
 }
 
 
