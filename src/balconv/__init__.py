@@ -3,8 +3,9 @@
 Generates balancing, Lucas-balancing, Fibonacci, Lucas, and general
 second-order (u, v) pairs; evaluates plain, alternating, and
 binomial-weighted convolutions both by brute force and in closed form; and
-verifies every catalogued identity bit-exactly over finite ranges, backed by
-a truncated formal-power-series engine over exact integers.
+verifies every catalogued identity bit-exactly over finite ranges; the
+paper's power-expansion lemma behind the closed forms is checked as an
+identity between exact integer polynomials.
 
 The names below are the documented surface; everything else is importable
 from its submodule.

@@ -2,17 +2,19 @@
 
 Subcommands: ``seq`` (sequence tables), ``conv`` (evaluate one convolution),
 ``closed`` (evaluate one closed form), ``verify`` (sweep an identity and
-report mismatches), ``series-check`` (exact power-series checks), ``table``
+report mismatches), ``series-check`` (the power-expansion lemma), ``table``
 (side-by-side LHS/RHS columns).
 
 Exit codes: 0 success / all checks pass, 1 verification found mismatches
-(report still emitted), 2 usage or domain error, an unwritable ``--output``,
-or a run out of memory.  No table recurses, so a large r or n never
-overflows the stack.  But a table holds every value up to n, so a large n
-can exhaust memory (``conv --r 3 --n 100000`` needs more than 1.5 GB); the
-``MemoryError`` then exits 2.  All integers in machine output are decimal
-strings; they outgrow 64-bit types quickly, so CPython's int/str digit limit
-is lifted while :func:`run` executes.
+(report still emitted; a side that is not an integer at some n is one, and
+makes ``table`` exit 1 too), 2 usage or domain error, an exact division that
+leaves a remainder in ``closed`` or ``conv`` (which compare nothing), an
+unwritable ``--output``, or a run out of memory.  No table recurses, so a
+large r or n never overflows the stack.  But a table holds every value up to
+n, so a large n can exhaust memory (``conv --r 3 --n 100000`` needs more than
+1.5 GB); the ``MemoryError`` then exits 2.  All integers in machine output
+are decimal strings; they outgrow 64-bit types quickly, so CPython's int/str
+digit limit is lifted while :func:`run` executes.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .combinatorics import IntegralityError, exact_div, unlimited_int_digits
 from .identities import (
     CATALOG,
     IdentityId,
+    NotInteger,
     binom_conv_c,  # no caller here, but perfbench/tracer.py wraps it by this name
     binom_conv_u,
     binom_conv_v,
@@ -34,6 +37,7 @@ from .identities import (
     evaluate_range,
     report_to_dict,
     resolve_identity_args,
+    value_to_json,
     verify_identity,
 )
 from .sequences import (
@@ -245,10 +249,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
             "identity": identity.value,
             "params": _params_dict(params),
             "r": str(r),
-            "rows": [{"n": str(n), "lhs": str(lhs), "rhs": str(rhs)} for n, lhs, rhs in rows],
+            "rows": [{"n": str(n), "lhs": value_to_json(lhs), "rhs": value_to_json(rhs)} for n, lhs, rhs in rows],
         },
     )
-    return 0
+    return 1 if any(isinstance(x, NotInteger) for row in rows for x in row[1:]) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("series-check", help="exact truncated-series checks")
-    p.add_argument("--order", type=_nonneg, default=200, help="truncation order")
+    p = sub.add_parser("series-check", help="check the power-expansion lemma on exact polynomials")
+    p.add_argument("--order", type=_nonneg, default=200, help="compare through x^(order+r-1); >= 4r-5 proves it")
     p.add_argument("--r", type=int, default=None, help="check the r-th power expansion instead of the square relation")
     _add_common(p)
     p.set_defaults(func=_cmd_series_check)

@@ -20,12 +20,16 @@ __all__ = [
 
 
 class IntegralityError(ArithmeticError):
-    """A division that must be exact left a remainder.
+    """A division that must be exact left a remainder; carries ``divisor`` and ``remainder``.
 
     Raised by :func:`exact_div` when a closed form that must produce an
-    integer on its validity domain does not.  This is an internal invariant
-    violation, not a recoverable input error.
+    integer on its validity domain does not.  A sweep records it as a
+    mismatch at that n; a single evaluation reports it as an error.
     """
+
+    def __init__(self, divisor: int, remainder: int) -> None:
+        super().__init__(f"division by {divisor} leaves a remainder of {remainder}")
+        self.divisor, self.remainder = divisor, remainder
 
 
 def exact_div(num: int, den: int) -> int:
@@ -36,7 +40,7 @@ def exact_div(num: int, den: int) -> int:
     """
     quotient, remainder = divmod(num, den)
     if remainder:
-        raise IntegralityError(f"division by {den} leaves a remainder of {remainder}")
+        raise IntegralityError(den, remainder)
     return quotient
 
 

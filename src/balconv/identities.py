@@ -8,7 +8,7 @@ from the sequence alone and then read from the recurrence E^r obeys) with a
 closed-form right-hand side evaluated in integers; a closed form that divides
 does so with :func:`exact_div`, which raises on a remainder.
 :func:`verify_identity` sweeps a range of n and reports every mismatch with an
-exact witness.
+exact witness; a side that raised there is recorded as :class:`NotInteger`.
 
 Closed forms reject n below their validity bound instead of extrapolating;
 the oracles are total.  The ``printed`` evaluator transcribes the per-r
@@ -27,7 +27,7 @@ from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
 from . import combinatorics, sequences
-from .combinatorics import binom, exact_div, unlimited_int_digits
+from .combinatorics import IntegralityError, binom, exact_div, unlimited_int_digits
 from .sequences import (
     BALANCING,
     FIBONACCI,
@@ -50,6 +50,7 @@ __all__ = [
     "Failure",
     "IdentityId",
     "IdentityInfo",
+    "NotInteger",
     "VerificationReport",
     "alt_weighted_conv",
     "binom_conv_c",
@@ -79,6 +80,7 @@ __all__ = [
     "rhs_pair_telescope",
     "rhs_printed_corollary",
     "rhs_triple_alt",
+    "value_to_json",
     "verify_identity",
 ]
 
@@ -100,7 +102,7 @@ def clear_caches() -> None:
 @lru_cache(maxsize=None)
 def _ogf_power(params: SeqParams, r: int) -> tuple[int, ...]:
     # The 2r + 1 coefficients of P^r, fetched by conv_power's make only while its list grows.
-    return Series([1, -params.a, -params.b], order=2 * r).pow(r).coeffs
+    return Series([1, -params.a, -params.b]).pow(r).coeffs
 
 
 def conv_power(params: SeqParams, r: int, n: int) -> int:
@@ -687,12 +689,22 @@ def resolve_identity_args(
     return params, r
 
 
+class NotInteger(NamedTuple):
+    """A side whose exact division left a remainder at n: it is no integer, so never a match."""
+
+    divisor: int
+    remainder: int
+
+    def __str__(self) -> str:
+        return f"not an integer (division by {self.divisor} leaves a remainder of {self.remainder})"
+
+
 class Failure(NamedTuple):
     """One exact mismatch witness."""
 
     n: int
-    lhs: int
-    rhs: int
+    lhs: int | NotInteger
+    rhs: int | NotInteger
 
 
 class VerificationReport(NamedTuple):
@@ -730,18 +742,27 @@ def clamp_to_domain(identity: IdentityId, r: int, lo: int | None, hi: int) -> tu
 
 def evaluate_range(
     identity: IdentityId, params: SeqParams, r: int, lo: int, hi: int
-) -> Iterator[tuple[int, int, int]]:
+) -> Iterator[tuple[int, int | NotInteger, int | NotInteger]]:
     """Yield (n, oracle value, closed-form value) for n = lo..hi, in that order.
 
-    The row at hi is computed first, so each table the rows read grows once, to
-    the top of the range, and every lower row reads it as it is.
+    A side whose exact division leaves a remainder at n yields :class:`NotInteger`
+    there, and the sweep goes on.  The row at hi is computed first, so each table
+    the rows read grows once, to the top of the range, and every lower row reads
+    it as it is.
     """
     if lo > hi:
         return
     info = CATALOG[identity]
-    top = hi, info.lhs(params, r, hi), info.rhs(params, r, hi)
+
+    def value(side: Side, n: int) -> int | NotInteger:
+        try:
+            return side(params, r, n)
+        except IntegralityError as exc:
+            return NotInteger(exc.divisor, exc.remainder)
+
+    top = hi, value(info.lhs, hi), value(info.rhs, hi)
     for n in range(lo, hi):
-        yield n, info.lhs(params, r, n), info.rhs(params, r, n)
+        yield n, value(info.lhs, n), value(info.rhs, n)
     yield top
 
 
@@ -755,16 +776,29 @@ def verify_identity(
 
     The requested range is clamped by :func:`clamp_to_domain` (a lower end
     of None starts at the domain minimum).  Every failure witness
-    re-evaluates to the recorded values because both sides are pure.
+    re-evaluates to the recorded values because both sides are pure.  A side
+    that is not an integer is a failure whatever the other side is.
     """
     params, r = resolve_identity_args(identity, params, r)
     lo, hi = clamp_to_domain(identity, r, *n_range)
     failures = tuple(
         Failure(n, lhs, rhs)
         for n, lhs, rhs in evaluate_range(identity, params, r, lo, hi)
-        if lhs != rhs
+        if lhs != rhs or isinstance(lhs, NotInteger)
     )
     return VerificationReport(identity, params, r, (lo, hi), hi - lo + 1, failures)
+
+
+def value_to_json(value: int | NotInteger) -> str | dict:
+    """A side's JSON form: the decimal string of an integer, or, for :class:`NotInteger`,
+    ``{"divisor": ..., "remainder": ...}`` with both as decimal strings."""
+    if isinstance(value, NotInteger):
+        return {"divisor": str(value.divisor), "remainder": str(value.remainder)}
+    return str(value)
+
+
+def _value_from_json(data: str | dict) -> int | NotInteger:
+    return int(data) if isinstance(data, str) else NotInteger(int(data["divisor"]), int(data["remainder"]))
 
 
 @unlimited_int_digits()
@@ -777,7 +811,7 @@ def report_to_dict(report: VerificationReport) -> dict:
         "range": [str(report.n_range[0]), str(report.n_range[1])],
         "checked": str(report.checked),
         "failures": [
-            {"n": str(f.n), "lhs": str(f.lhs), "rhs": str(f.rhs)} for f in report.failures
+            {"n": str(f.n), "lhs": value_to_json(f.lhs), "rhs": value_to_json(f.rhs)} for f in report.failures
         ],
     }
 
@@ -792,6 +826,6 @@ def report_from_dict(data: dict) -> VerificationReport:
         n_range=(int(data["range"][0]), int(data["range"][1])),
         checked=int(data["checked"]),
         failures=tuple(
-            Failure(int(f["n"]), int(f["lhs"]), int(f["rhs"])) for f in data["failures"]
+            Failure(int(f["n"]), _value_from_json(f["lhs"]), _value_from_json(f["rhs"])) for f in data["failures"]
         ),
     )

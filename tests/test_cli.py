@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 
 from balconv import cli, sequences
 from balconv.cli import run
-from balconv.combinatorics import unlimited_int_digits
+from balconv.combinatorics import exact_div, unlimited_int_digits
 from balconv.identities import (
     CATALOG,
     IdentityId,
@@ -207,6 +208,52 @@ def test_table_command():
     assert rows[-1]["n"] == "12" and rows[-1]["lhs"] != rows[-1]["rhs"]
 
 
+def test_a_closed_form_that_is_not_an_integer_is_a_mismatch(monkeypatch):
+    # cor-printed-r6's closed form, multiplied back by its lcm 60 and given a remainder of
+    # 39 at n = 20 before the exact division: a slip that leaves it no integer at one n
+    info = CATALOG[IdentityId.COR_PRINTED_R6]
+
+    def slipped(params, r, n):
+        return exact_div(60 * info.rhs(params, r, n) + 39 * (n == 20), 60)
+
+    monkeypatch.setitem(CATALOG, IdentityId.COR_PRINTED_R6, dataclasses.replace(info, rhs=slipped))
+    lhs = info.lhs(BALANCING, 6, 20)
+    text = "not an integer (division by 60 leaves a remainder of 39)"
+    argv = ["--identity", "cor-printed-r6", "--n-min", "18", "--n-max", "22", "--format"]
+    assert invoke(["verify", *argv, "plain"]) == (1, (
+        "identity=cor-printed-r6 params=(6,-1) r=6 range=[18,22] checked=5 failures=1 status=FAIL\n"
+        f"  n=20 lhs={lhs} rhs={text}\n"
+    ), "")
+    assert invoke(["verify", *argv, "csv"]) == (1, f"n,lhs,rhs\n20,{lhs},{text}\n", "")
+    code, out, err = invoke(["verify", *argv, "json"])
+    assert (code, err) == (1, "")
+    failures = json.loads(out)["failures"]
+    assert failures == [{"n": "20", "lhs": str(lhs), "rhs": {"divisor": "60", "remainder": "39"}}]
+    assert report_from_dict(json.loads(out)).failures[0].rhs == (60, 39)
+    # table shows every row, the one that is no integer included, and exits 1 for it
+    code, out, err = invoke(["table", *argv, "csv"])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[3] == f"20,{lhs},{text}"
+    code, out, err = invoke(["table", *argv, "plain"])
+    assert (code, err, out.splitlines()[3]) == (1, "", f"20\t{lhs}\t{text}")
+    code, out, err = invoke(["table", *argv, "json"])
+    rows = json.loads(out)["rows"]
+    assert (code, err, len(rows)) == (1, "", 5)
+    assert rows[2] == {"n": "20", "lhs": str(lhs), "rhs": {"divisor": "60", "remainder": "39"}}
+    # a range without n = 20 passes; closed at n = 20 compares nothing and still exits 2
+    assert invoke(["verify", "--identity", "cor-printed-r6", "--n-max", "19"])[0] == 0
+    assert invoke(["table", "--identity", "cor-printed-r6", "--n-max", "19"])[0] == 0
+    closed = invoke(["closed", "--identity", "cor-printed-r6", "--n", "20"])
+    assert closed == (2, "", "error: division by 60 leaves a remainder of 39\n")
+
+
+def test_conv_that_divides_inexactly_exits_2(monkeypatch):
+    # a Lucas-balancing fold is the v-fold divided exactly by 2^r; an odd v-fold is an error
+    monkeypatch.setattr(cli, "binom_conv_v", lambda params, r, n: 1)
+    code, out, err = invoke(["conv", "--kind", "lucas-balancing", "--r", "2", "--n", "5", "--binomial"])
+    assert (code, out, err) == (2, "", "error: division by 4 leaves a remainder of 1\n")
+
+
 def test_series_check_command():
     code, out, _ = invoke(["series-check", "--order", "40"])
     assert code == 0 and out == "ogf-square order=40: pass\n"
@@ -379,10 +426,18 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
-def test_series_check_past_memory_exits_2():
-    script = "import sys\nfrom balconv.cli import run\nsys.exit(run(sys.argv[1:]))\n"
-    proc = _run_child(script, "series-check", "--order", str(10**12), preexec_fn=_cap_address_space)
+_RUN_SCRIPT = "import sys\nfrom balconv.cli import run\nsys.exit(run(sys.argv[1:]))\n"
+
+
+def test_seq_past_memory_exits_2():
+    proc = _run_child(_RUN_SCRIPT, "seq", "--to", str(10**12), preexec_fn=_cap_address_space)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+
+
+def test_series_check_of_a_huge_order_allocates_no_table():
+    # the lemma is compared as polynomials of degree 5r - 6, so --order only bounds a prefix
+    proc = _run_child(_RUN_SCRIPT, "series-check", "--order", str(10**12), preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"ogf-square order={10**12}: pass\n", "")
 
 
 def test_plain_conv_of_large_r_needs_no_recursion():
@@ -424,7 +479,9 @@ def test_binomial_conv_of_large_r_needs_no_recursion():
 
 
 def test_cli_imports_only_the_standard_library_and_no_fractions():
-    # compare what importing the CLI adds, not all of sys.modules: site may load .pth modules
+    # compare what importing the CLI adds, not all of sys.modules: site may load .pth modules;
+    # every run pays for its imports at start-up, so json (only --format json needs it),
+    # decimal and fractions stay out
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -435,7 +492,7 @@ def test_cli_imports_only_the_standard_library_and_no_fractions():
     assert (proc.returncode, proc.stderr) == (0, "")
     added = set(proc.stdout.split())
     assert "balconv.cli" in added
-    assert "fractions" not in added
+    assert not added & {"json", "decimal", "fractions"}
     assert {name.partition(".")[0] for name in added} - {"balconv"} <= sys.stdlib_module_names
 
 

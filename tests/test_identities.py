@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 
 import balconv
 from balconv import combinatorics, identities, sequences, series
-from balconv.combinatorics import IntegralityError, binom
+from balconv.combinatorics import IntegralityError, binom, exact_div
 from balconv.identities import (
     CATALOG,
     Failure,
     IdentityId,
     IdentityInfo,
+    NotInteger,
     VerificationReport,
     alt_weighted_conv,
     binom_conv_c,
@@ -786,6 +787,110 @@ def test_closed_forms_and_oracles_grow_separate_store_tables():
         assert _sequence_keys() <= own
 
 
+def _key_kind(key, params):
+    # "S_2", "T", "f^r", "fold", or a term list: "u"/"v" at the row's own parameters, or
+    # "derived u"/"derived v" at the derived pairs of the binomial closed forms
+    if key in ("S_2", "T"):
+        return key
+    if key[0] in ("f^r", "fold"):
+        return key[0]
+    key_params, which = key
+    return which if key_params == params else f"derived {which}"
+
+
+#: Row -> (key kinds the oracle reaches, key kinds the closed form reaches), r = 3 where the
+#: row leaves r free and the default (6, -1) for general-u/v.  Only a term list at the row's
+#: own parameters is shared; the u fold fetches that list but reads no value of it.
+_ROUTE_KINDS = {
+    "pair-telescope": ({"S_2", "u"}, {"u"}),
+    "triple-alt": ({"f^r"}, {"u"}),
+    "general-alt": ({"f^r"}, {"u"}),
+    "cor-printed-r4": ({"f^r"}, {"u"}),
+    "cor-printed-r5": ({"f^r"}, {"u"}),
+    "cor-printed-r6": ({"f^r"}, {"u"}),
+    "pair-plain": ({"S_2", "u"}, {"T", "u"}),
+    "general-plain": ({"f^r"}, {"u"}),
+    "binom-pair-b": ({"fold", "u"}, {"v"}),
+    "binom-pair-c": ({"fold", "v"}, {"v"}),
+    "multinom-triple-b": ({"fold", "u"}, {"u", "derived u"}),
+    "multinom-triple-c": ({"fold", "v"}, {"v", "derived v"}),
+    "general-u": ({"fold", "u"}, {"derived u"}),
+    "general-v": ({"fold", "v"}, {"derived v"}),
+    "fib-pair-f": ({"fold", "u"}, {"v"}),
+    "fib-pair-l": ({"fold", "v"}, {"v"}),
+}
+
+
+def _row_args(identity):
+    info = CATALOG[identity]
+    return resolve_identity_args(identity, None, 3 if info.r is None else None)
+
+
+def test_each_route_reaches_only_its_own_tables(monkeypatch):
+    # every table read goes through grow(), so a spy on it sees each key a side reaches,
+    # read or grown; a closed form that read an oracle table, or an oracle that read T or a
+    # derived pair, would change the pinned kinds
+    reached, grow = [], sequences.grow
+
+    def spy(key, n, make):
+        reached.append(key)
+        return grow(key, n, make)
+
+    monkeypatch.setattr(sequences, "grow", spy)
+    monkeypatch.setattr(identities, "grow", spy)
+    kinds = {}
+    for identity in IdentityId:
+        info = CATALOG[identity]
+        params, r = _row_args(identity)
+        sides = []
+        for side in (info.lhs, info.rhs):
+            clear_caches()
+            reached.clear()
+            for n in range(info.n_min(r), 31):
+                side(params, r, n)
+            sides.append({_key_kind(key, params) for key in reached})
+        kinds[identity.value] = tuple(sides)
+    assert kinds == _ROUTE_KINDS
+    for oracle, closed in kinds.values():
+        assert not closed & {"f^r", "S_2", "fold"}
+        assert not oracle & {"T", "derived u", "derived v"}
+
+
+#: Shared term list -> the rows whose sweep to n = 30 must find one of its entries off by one.
+_READERS = {
+    "B": ((BALANCING, "u"), {"pair-telescope", "triple-alt", "general-alt", "cor-printed-r4",
+                             "cor-printed-r5", "cor-printed-r6", "pair-plain", "general-plain",
+                             "multinom-triple-b"}),
+    "C": ((BALANCING, "v"), {"binom-pair-b", "binom-pair-c", "multinom-triple-c"}),
+    "Lucas": ((FIBONACCI, "v"), {"fib-pair-f", "fib-pair-l"}),
+}
+
+
+@pytest.mark.parametrize("key, readers", _READERS.values(), ids=_READERS)
+def test_a_wrong_shared_term_is_found_by_every_row_that_reads_it(key, readers):
+    # +1 at index 7 of a term list both routes of some row fetch.  Every row that reads that
+    # value reports a witness n >= 7; binom-pair-b/c and multinom-triple-b/c, whose closed
+    # forms then divide inexactly, report theirs as a side that is not an integer.  Every
+    # other row reads nothing of it and gives its clean report, cor-printed-r5's transcription
+    # failures included: general-u's u fold seeds with r! and grows from weights in (a, b),
+    # and general-v's v fold reads the list only through index r = 3
+    def sweep(identity):
+        return verify_identity(identity, (None, 30), *_row_args(identity))
+
+    clear_caches()
+    clean = {identity: sweep(identity) for identity in IdentityId}
+    for identity in IdentityId:
+        clear_caches()
+        terms(*key, 40)[7] += 1
+        report = sweep(identity)
+        if identity.value in readers:
+            assert not report.passed and report != clean[identity], identity
+            assert report.failures[0].n >= 7
+        else:
+            assert report == clean[identity], identity
+    clear_caches()
+
+
 def test_every_rhs_name_is_public():
     # perfbench/tracer.py times every rhs_* name of the module as a closed-form call, so a
     # private rhs_* helper called from a closed form would be counted twice
@@ -997,6 +1102,19 @@ def test_report_round_trip():
         data = report_to_dict(report)
         assert all(isinstance(x, str) for x in (data["r"], data["checked"], *data["range"]))
         assert report_from_dict(data) == report
+
+
+def test_a_side_that_is_not_an_integer_fails_even_against_the_same(monkeypatch):
+    # both sides leave the same remainder at every n: equal records, but no integer, so no match
+    def inexact(params, r, n):
+        return exact_div(2 * n + 1, 2)
+
+    info = CATALOG[IdentityId.PAIR_PLAIN]
+    monkeypatch.setitem(CATALOG, IdentityId.PAIR_PLAIN, dataclasses.replace(info, lhs=inexact, rhs=inexact))
+    report = verify_identity(IdentityId.PAIR_PLAIN, (2, 4))
+    assert report.failures == tuple(Failure(n, NotInteger(2, 1), NotInteger(2, 1)) for n in (2, 3, 4))
+    assert report_to_dict(report)["failures"][0]["lhs"] == {"divisor": "2", "remainder": "1"}
+    assert report_from_dict(report_to_dict(report)) == report
 
 
 def test_clear_caches_drops_every_memo():

@@ -1,4 +1,5 @@
 from math import comb
+from operator import add
 
 import pytest
 from hypothesis import given
@@ -7,18 +8,12 @@ from hypothesis import strategies as st
 from balconv import cli, identities, sequences, series
 from balconv.identities import clear_caches, conv_power, conv_power_by_enumeration, rhs_general_plain
 from balconv.sequences import BALANCING, FIBONACCI, SeqParams, balancing, u
-from balconv.series import (
-    Series,
-    ogf,
-    one_minus_x2_pow,
-    verify_ogf_square_relation,
-    verify_power_expansion,
-)
+from balconv.series import Series, ogf, verify_ogf_square_relation, verify_power_expansion
 
 coeff_st = st.integers(-10, 10)
 series_st = st.lists(coeff_st, min_size=1, max_size=8).map(Series)
 series2_st = st.lists(coeff_st, min_size=2, max_size=8).map(Series)
-# Leading zeros raise the valuation; all-zero operands push it past the order.
+# Leading and all-zero coefficients: the product must still place every term.
 shifted_series_st = st.builds(
     lambda zeros, cs: Series([0] * zeros + cs),
     st.integers(0, 3),
@@ -39,36 +34,20 @@ def test_construction_and_order():
     s = Series([1, 2, 3])
     assert s.order == 2
     assert s.coeffs == (1, 2, 3)
-    padded = Series([1], order=3)
-    assert padded.coeffs == (1, 0, 0, 0)
-    truncated = Series([1, 2, 3, 4], order=1)
-    assert truncated.coeffs == (1, 2)
+    # order is the last exponent held, trailing zeros included
+    padded = Series([1, 2, 3, 0, 0])
+    assert padded.order == 4 and padded.coeffs == (1, 2, 3, 0, 0)
     with pytest.raises(ValueError):
         Series([])
-    with pytest.raises(ValueError):
-        Series([1], order=-1)
 
 
 def test_mul_example():
     x = Series([0, 1])
-    # valuation-aware truncation: x's tail can only touch exponents >= 3
     assert (x * x).coeffs == (0, 0, 1)
-
-
-def test_mul_truncation_rule():
-    f = Series([1, 1])  # valuation 0: unknown tail touches x^2 already
-    assert (f * f).coeffs == (1, 2)
-    g = Series([0, 0, 1, 1])  # valuation 2, order 3
-    assert (g * g).order == 5
-    assert (g * g).coeffs == (0, 0, 0, 0, 1, 2)
-    zero = Series([0, 0])
-    assert (zero * Series([0, 1])).coeffs == (0, 0, 0)
-
-
-def test_valuation():
-    assert Series([0, 0, 5]).valuation() == 2
-    assert Series([1]).valuation() == 0
-    assert Series([0, 0]).valuation() == 2  # all-zero: one past the order
+    # exact: every coefficient of the product is kept, order(f) + order(g)
+    f = Series([1, 1])
+    assert (f * f).coeffs == (1, 2, 1)
+    assert (Series([0, 0]) * Series([0, 1])).coeffs == (0, 0, 0)
 
 
 def test_derivative_example():
@@ -78,8 +57,11 @@ def test_derivative_example():
 def test_derivative_drops_order():
     s = Series([1, 1, 1, 1, 1])
     assert s.derivative(2).order == 2
+    assert s.derivative(2).coeffs == (2, 6, 12)
+    # past the order the derivative of a polynomial is zero
+    assert s.derivative(5).coeffs == (0,)
     with pytest.raises(ValueError):
-        s.derivative(5)
+        s.derivative(-1)
 
 
 def test_shift_raises_order():
@@ -91,33 +73,35 @@ def test_shift_raises_order():
 
 
 def test_pow():
-    f = Series([1, 1, 0, 0])
-    assert f.pow(0).coeffs == (1, 0, 0, 0)
-    assert f.pow(2).coeffs == (1, 2, 1, 0)
+    f = Series([1, 1, 0])
+    assert f.pow(0).coeffs == (1,)
+    assert f.pow(2).coeffs == (1, 2, 1, 0, 0)
     with pytest.raises(ValueError):
         f.pow(-1)
-    # order(f^r) = order(f) + (r - 1) val(f) for r >= 1; val = 1 here
+    # order(f^r) = r order(f): P^r keeps its 2r + 1 coefficients even when b = 0
+    assert [Series([1, -3, 0]).pow(r).order for r in range(5)] == [0, 2, 4, 6, 8]
     b = ogf(BALANCING, 10)
-    assert [b.pow(r).order for r in range(6)] == [10, 10, 11, 12, 13, 14]
+    assert [b.pow(r).order for r in range(6)] == [0, 10, 20, 30, 40, 50]
+
+
+ONE_MINUS_X2 = Series([1, 0, -1])
 
 
 def test_one_minus_x2_pow_examples():
-    assert one_minus_x2_pow(0, 3).coeffs == (1, 0, 0, 0)
-    assert one_minus_x2_pow(1, 4).coeffs == (1, 0, -1, 0, 0)
-    assert one_minus_x2_pow(2, 6).coeffs == (1, 0, -2, 0, 1, 0, 0)
-    assert one_minus_x2_pow(3, 4).coeffs == (1, 0, -3, 0, 3)  # truncated below degree 6
-    with pytest.raises(ValueError):
-        one_minus_x2_pow(-1, 5)  # no geometric expansion: nothing divides by (1 - x^2)
-    with pytest.raises(ValueError):
-        one_minus_x2_pow(1, -1)
+    assert ONE_MINUS_X2.pow(0).coeffs == (1,)
+    assert ONE_MINUS_X2.pow(1).coeffs == (1, 0, -1)
+    assert ONE_MINUS_X2.pow(2).coeffs == (1, 0, -2, 0, 1)
+    assert ONE_MINUS_X2.pow(3).coeffs == (1, 0, -3, 0, 3, 0, -1)
+    for m in range(12):
+        assert ONE_MINUS_X2.pow(m).coeffs == tuple(
+            (-1) ** (i // 2) * comb(m, i // 2) if i % 2 == 0 else 0 for i in range(2 * m + 1)
+        )
 
 
 def test_one_minus_x2_pow_multiplies_by_adding_exponents():
-    # (1-x^2)^m * (1-x^2)^k == (1-x^2)^(m+k) on the common window
-    for m in range(4):
-        for k in range(4):
-            prod = one_minus_x2_pow(m, 20) * one_minus_x2_pow(k, 20)
-            assert prod.agrees_with(one_minus_x2_pow(m + k, 20))
+    for m in range(6):
+        for k in range(6):
+            assert ONE_MINUS_X2.pow(m) * ONE_MINUS_X2.pow(k) == ONE_MINUS_X2.pow(m + k)
 
 
 def test_ogf_examples():
@@ -145,18 +129,12 @@ def test_series_pow_matches_composition_enumeration():
 
 
 def naive_product(f, g):
-    """Literal double sum over every coefficient pair, truncated by the documented rule."""
-
-    def val(cs):
-        return next((i for i, c in enumerate(cs) if c), len(cs))
-
+    """Literal double sum over every coefficient pair."""
     a, b = f.coeffs, g.coeffs
-    m = min(len(a) - 1 + val(b), len(b) - 1 + val(a))
-    expected = [0] * (m + 1)
+    expected = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
-            if i + j <= m:
-                expected[i + j] += ai * bj
+            expected[i + j] += ai * bj
     return tuple(expected)
 
 
@@ -174,15 +152,16 @@ def test_mul_of_sparse_operands_matches_literal_double_loop(f, g):
 
 
 def test_mul_of_structured_sparse_operands_matches_literal_double_loop():
-    # even-power series like the polynomials (1 - x^2)^m and the expansions of
-    # 1/(1 - x^2)^3 and 1/(1 - x^2), shifted series, and the 3-term
-    # P = 1 - a x - b x^2 padded to order 2r
+    # even-power polynomials like (1 - x^2)^m and the truncated expansions of
+    # 1/(1 - x^2)^3 and 1/(1 - x^2), shifted polynomials, the 3-term
+    # P = 1 - a x - b x^2 padded with zeros to order 2r, and its powers
     operands = [
         Series([0 if i % 2 else comb(i // 2 + 2, 2) for i in range(21)]),
-        one_minus_x2_pow(2, 20),
+        ONE_MINUS_X2.pow(2),
         ogf(BALANCING, 12).shift(5),
         Series([1 - i % 2 for i in range(10)]).shift(4),
-        *(Series([1, -a, -b], order=2 * r) for a, b, r in ((6, 1, 1), (6, 1, 7), (-3, 2, 4), (0, -5, 3))),
+        *(Series([1, -a, -b, *[0] * (2 * r - 2)]) for a, b, r in ((6, 1, 1), (6, 1, 7), (-3, 2, 4), (0, -5, 3))),
+        *(Series([1, -a, -b]).pow(r) for a, b, r in ((6, 1, 3), (0, -5, 3))),
     ]
     for f in operands:
         for g in operands:
@@ -230,12 +209,14 @@ def test_ogf_power_registry_holds_p_power_and_one_coefficient_list():
 
 @pytest.mark.parametrize("params", [BALANCING, SeqParams(-3, -2)])
 def test_conv_power_matches_series_cauchy_product(params):
-    # a Cauchy-product power of the OGF, read across the old 64 and 128 block edges
+    # a Cauchy-product power of the OGF, read across the old 64 and 128 block edges; each
+    # power is cut back to x^150, the coefficients that f through x^150 determines
     clear_caches()
     f = ogf(params, 150)
+    power = Series([1])
     for r in range(1, 7):
-        power = f.pow(r)
-        assert [conv_power(params, r, n) for n in range(151)] == list(power.coeffs[:151])
+        power = Series((power * f).coeffs[:151])
+        assert [conv_power(params, r, n) for n in range(151)] == list(power.coeffs)
 
 
 @given(series_st, series_st)
@@ -245,32 +226,28 @@ def test_mul_commutative(f, g):
 
 @given(series_st, series_st, series_st)
 def test_mul_associative_up_to_truncation(f, g, h):
-    assert ((f * g) * h).agrees_with(f * (g * h))
+    # products are exact now, so associativity is an equality with nothing cut off
+    assert (f * g) * h == f * (g * h)
 
 
 @given(series2_st, series2_st)
 def test_product_rule(f, g):
-    lhs = (f * g).derivative()
-    rhs = f.derivative() * g + f * g.derivative()
-    assert lhs.agrees_with(rhs)
+    assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
 
 
 @given(series2_st, series2_st)
 def test_derivative_linear(f, g):
-    assert (f + g).derivative().agrees_with(f.derivative() + g.derivative())
+    assert (f + g).derivative() == f.derivative() + g.derivative()
+    assert f.scale(-3).derivative() == f.derivative().scale(-3)
 
 
 @given(series_st, series_st)
 def test_add_is_coefficientwise(f, g):
     total = f + g
-    assert total.order == min(f.order, g.order)
-    for i in range(total.order + 1):
-        assert total.coeffs[i] == f.coeffs[i] + g.coeffs[i]
-
-
-def test_agrees_with_common_prefix_only():
-    assert Series([1, 2]).agrees_with(Series([1, 2, 99]))
-    assert not Series([1, 3]).agrees_with(Series([1, 2, 99]))
+    assert total.order == max(f.order, g.order)
+    padded = [(*s.coeffs, *[0] * (total.order - s.order)) for s in (f, g)]
+    assert total.coeffs == tuple(map(add, *padded))
+    assert (total + g.scale(-1)).coeffs == padded[0]
 
 
 def test_square_relation():
@@ -300,23 +277,43 @@ def test_power_expansion_reduces_to_square_relation_at_r2():
     assert verify_power_expansion(2, 40) and verify_ogf_square_relation(40)
 
 
-@pytest.mark.parametrize("index", [1, 4, 25])
-def test_a_perturbed_ogf_fails_every_check(monkeypatch, capsys, index):
-    # one coefficient of f off by one: the multiplied-through checks still fail,
-    # and series-check reports that with exit 1
-    exact = series.ogf
+def test_power_expansion_at_every_order_from_r_minus_1():
+    # every prefix the CLI can ask for, up to past the proving order 4r - 5
+    for r in range(2, 13):
+        for order in range(r - 1, 61):
+            assert verify_power_expansion(r, order), (r, order)
 
-    def perturbed(params, order):
-        coeffs = list(exact(params, order).coeffs)
-        coeffs[index] += 1
-        return Series(coeffs)
 
-    monkeypatch.setattr(series, "ogf", perturbed)
+@pytest.mark.parametrize("params", [SeqParams(6, -2), SeqParams(6, 1), SeqParams(5, -2)])
+def test_a_perturbed_p_fails_every_check(monkeypatch, capsys, params):
+    # f = x / P with P = 1 - 6x + 2x^2, 1 - 6x - x^2 or 1 - 5x + 2x^2 in place of the balancing
+    # denominator: the lemma no longer holds, and series-check reports that with exit 1.
+    # Only b matters: the lemma rests on P - x P' = 1 - x^2, true for every a when b = -1
+    monkeypatch.setattr(series, "BALANCING", params)
+    # the prefix compared runs through x^{order+r-1}; the first wrong coefficient is x^{r+2}
+    for r in (2, 3):
+        assert verify_power_expansion(r, 2) and not verify_power_expansion(r, 3), r
     assert not verify_ogf_square_relation(30)
     for r in range(2, 7):
         assert not verify_power_expansion(r, 30), r
     assert cli.run(["series-check", "--order", "30"]) == 1
     assert capsys.readouterr().out == "ogf-square order=30: FAIL\n"
+
+
+@pytest.mark.parametrize("r", range(3, 11))
+def test_a_lemma_weight_off_by_one_fails(monkeypatch, r):
+    # the first binomial the k-sum reads is C(1, 0) or C(r-2, 0), at k = 1, j = 0: one more
+    # there makes that one weight C(k, j) C(r-2, k-j-1) 2 instead of 1; at order 4r - 5,
+    # where the whole polynomials are compared, the check must see it
+    calls = []
+
+    def off_by_one_once(m, k):
+        calls.append((m, k))
+        return comb(m, k) + (len(calls) == 1)
+
+    monkeypatch.setattr(series, "binom", off_by_one_once)
+    assert not verify_power_expansion(r, 4 * r - 5)
+    assert calls[0] in {(1, 0), (r - 2, 0)}
 
 
 def test_scale():
