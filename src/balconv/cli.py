@@ -5,14 +5,14 @@ Subcommands: ``seq`` (sequence tables), ``conv`` (evaluate one convolution),
 report mismatches), ``series-check`` (the power-expansion lemma), ``table``
 (side-by-side LHS/RHS columns).
 
-Exit codes: 0 success / all checks pass, 1 verification found mismatches
-(report still emitted; a side that is not an integer at some n is one, and
-makes ``table`` exit 1 too), 2 usage or domain error, an exact division that
-leaves a remainder in ``closed`` or ``conv`` (which compare nothing), an
-unwritable ``--output``, or a run out of memory.  No table recurses, so a
-large r or n never overflows the stack.  But a table holds every value up to
-n, so a large n can exhaust memory (``conv --r 3 --n 100000`` needs more than
-1.5 GB); the ``MemoryError`` then exits 2.  All integers in machine output
+Exit codes: 0 success / all checks pass, 1 a mismatching row in ``verify`` or
+``table`` (output still emitted; a side that is not an integer mismatches), 2
+usage or domain error, an exact division that leaves a remainder in ``closed``
+or ``conv`` (which compare nothing), an unwritable ``--output``, or a run out
+of memory.  No table recurses, so a large r or n never overflows the stack.
+But a table holds every value up to n, so a large n can exhaust memory
+(``conv --r 3 --n 100000`` needs more than 1.5 GB); the ``MemoryError`` then
+exits 2.  All integers in machine output
 are decimal strings; they outgrow 64-bit types quickly, so CPython's int/str
 digit limit is lifted while :func:`run` executes.
 """
@@ -28,13 +28,13 @@ from .combinatorics import IntegralityError, exact_div, unlimited_int_digits
 from .identities import (
     CATALOG,
     IdentityId,
-    NotInteger,
     binom_conv_c,  # no caller here, but perfbench/tracer.py wraps it by this name
     binom_conv_u,
     binom_conv_v,
     clamp_to_domain,
     conv_power,
     evaluate_range,
+    is_mismatch,
     report_to_dict,
     resolve_identity_args,
     value_to_json,
@@ -252,7 +252,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             "rows": [{"n": str(n), "lhs": value_to_json(lhs), "rhs": value_to_json(rhs)} for n, lhs, rhs in rows],
         },
     )
-    return 1 if any(isinstance(x, NotInteger) for row in rows for x in row[1:]) else 0
+    return 1 if any(is_mismatch(lhs, rhs) for _, lhs, rhs in rows) else 0
 
 
 # ---------------------------------------------------------------------------

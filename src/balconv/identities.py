@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 from math import comb, factorial
-from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
 from . import combinatorics, sequences
@@ -61,6 +60,7 @@ __all__ = [
     "conv_power",
     "conv_power_by_enumeration",
     "evaluate_range",
+    "is_mismatch",
     "pair_plain_sum",
     "pair_telescope_sum",
     "report_from_dict",
@@ -86,9 +86,7 @@ __all__ = [
 
 
 def clear_caches() -> None:
-    """Drop every memoized value: the P^r and fold-weight memos, binomials, and every list
-    of the table store (:func:`sequences.grow`): the terms, derived-parameter tables
-    included, f^r, S_2, the pair-plain partial sums T and the folds."""
+    """Drop the P^r, fold-weight and binomial memos and every list of :func:`sequences.grow`."""
     for cached in (_ogf_power, _binom_fold, combinatorics.binom):
         cached.cache_clear()
     sequences._tables.clear()
@@ -108,13 +106,12 @@ def _ogf_power(params: SeqParams, r: int) -> tuple[int, ...]:
 def conv_power(params: SeqParams, r: int, n: int) -> int:
     """Sum of u_{j_1}...u_{j_r} over compositions of n into r positive parts.
 
-    This is coefficient n of f^r = x^r / P^r, P = 1 - a x - b x^2; u_0 = 0
-    makes "positive parts" automatic, and it is zero whenever n < r.  From
-    P^r f^r = x^r, with p_i the coefficients of P^r and g_m = [x^m] f^r,
-    g_m = [m = r] - sum_{i=1}^{2r} p_i g_{m-i} (g = 0 below index 0), so each
-    coefficient costs O(r).  The list is the store's ("f^r", params, r) table
-    (:func:`sequences.grow`), grown from m = 0, so each coefficient is made once
-    per process; P^r is read only while it grows.
+    This is coefficient n of f^r = x^r / P^r, P = 1 - a x - b x^2; u_0 = 0 makes "positive
+    parts" automatic, and it is zero whenever n < r.  From P^r f^r = x^r, with p_i the
+    coefficients of P^r and g_m = [x^m] f^r, g_m = [m = r] - sum_{i=1}^{2r} p_i g_{m-i}
+    (g = 0 below index 0), so each coefficient costs O(r).  The list is the store's ("f^r",
+    params, r) table, made once per process; its record (:func:`sequences.grow`) is the seed
+    g_0..g_r = 0, ..., 0, 1 and P^r as the weights -p_1, ..., -p_{2r}, fetched while it grows.
     """
     if r < 1:
         raise ValueError(f"conv_power: r must be >= 1, got {r}")
@@ -124,8 +121,7 @@ def conv_power(params: SeqParams, r: int, n: int) -> int:
         return 0
 
     def make():
-        p = _ogf_power(params, r)[1:]  # p_1..p_{2r}, paired with g_{m-1}, g_{m-2}, ...
-        return (), lambda g, m: (m == r) - sum(map(mul, p, reversed(g)))
+        return (0,) * r + (1,), tuple(-p for p in _ogf_power(params, r)[1:]), None
 
     return grow(("f^r", params, r), n, make)[n]
 
@@ -175,16 +171,16 @@ def pair_plain_sum(n: int) -> int:
 
     P f^2 = x f, P = 1 - a x - b x^2 at (a, b) = (6, -1), so reading
     coefficient n of both sides gives S_2(n) = a S_2(n-1) + b S_2(n-2) + B_{n-1},
-    with S_2(0) = S_2(1) = 0.  The list is the store's "S_2" table
-    (:func:`sequences.grow`), grown from n = 0, so each value costs O(1) big-int
+    with S_2(0) = S_2(1) = 0: the record (:func:`sequences.grow`) of the store's "S_2"
+    list, forcing k -> B_{k-1} read from the B list.  Each value costs O(1) big-int
     products and is made once per process.
     """
     if n < 0:
         raise ValueError(f"pair_plain_sum: n must be nonnegative, got {n}")
 
     def make():
-        a, b, B = BALANCING.a, BALANCING.b, terms(BALANCING, "u", n)
-        return (0, 0), lambda s, k: a * s[k - 1] + b * s[k - 2] + B[k - 1]
+        B = terms(BALANCING, "u", n)
+        return (0, 0), BALANCING, lambda k: B[k - 1]
 
     return grow("S_2", n, make)[n]
 
@@ -207,7 +203,7 @@ def pair_telescope_sum(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _binom_fold(params: SeqParams, r: int) -> tuple[int, ...]:
-    """The fold recurrence's weights (w_{r+1}, ..., w_1), with
+    """The fold recurrence's weights (w_1, ..., w_{r+1}), with
     det(x - M) = x^{r+1} - sum_{i=1}^{r+1} w_i x^{r+1-i}, memoized per (params, r).
 
     M is the matrix of D = d/dx on E^{r-i} F^i (i = 0..r), F = E', which
@@ -223,45 +219,40 @@ def _binom_fold(params: SeqParams, r: int) -> tuple[int, ...]:
         c = (r - i + 1) * i * b
         shifted = zip([*p, 0], [0, *p], [0, 0, *before])  # x p_i, p_i, p_{i-1} aligned
         before, p = p, [s - i * a * t - c * q for s, t, q in shifted]
-    return tuple(-w for w in reversed(p[1:]))
+    return tuple(-w for w in p[1:])
 
 
 def _fold_levels(params: SeqParams, which: str, r: int, n: int) -> list[int]:
     """The r-fold binomial convolution h_m = m! [x^m] E^r for m = 0..n, E the EGF of w.
 
-    r = 1 is the sequence's own list (:func:`terms`).  For r >= 2 the list is
-    the store's ("fold", params, which, r) table (:func:`sequences.grow`), built
-    from the sequence w and its own entries.  Up to index min(n, r) it is seeded:
-    u_0 = 0 makes E^r = x^r (1 + O(x)), so h_m is r! at m = r and 0 below;
-    for v, H = E^r satisfies H' E = r E' H, which read at EGF index m - 1
-    with v_0 = 2 gives h_0 = 2^r and, with C(m-1, .) from :func:`math.comb`,
-    h_m = (1/2) sum_{i=1}^{m} (r C(m-1, i-1) - C(m-1, i)) v_i h_{m-i}.
-    Past index r it grows by h_m = sum_{i=1}^{r+1} w_i h_{m-i}: E^r lies in
-    the (r+1)-dimensional span of E^{r-i} (E')^i, which d/dx maps to itself,
-    so E^r obeys the linear ODE det(D - M) E^r = 0.  The weights come from the
-    :func:`_binom_fold` memo, read only while the list grows past index r, and
-    never from the closed forms' derived pairs.  A large r with a small n holds
-    only min(n, r) + 1 values.
+    r = 1 is the sequence's own list (:func:`terms`).  For r >= 2 it is the store's
+    ("fold", params, which, r) list.  Its record (:func:`sequences.grow`) seeds h_m through
+    index min(n, r) from w alone, the whole window each time the list grows inside it: u_0 = 0
+    makes E^r = x^r (1 + O(x)), so h_m is r! at m = r and 0 below; for v, H = E^r satisfies
+    H' E = r E' H, which read at EGF index m - 1 with v_0 = 2 gives h_0 = 2^r and, with
+    C(m-1, .) from :func:`math.comb`, h_m = (1/2) sum_{i=1}^{m} (r C(m-1, i-1) - C(m-1, i))
+    v_i h_{m-i}.  Past index r the weights give h_m = sum_{i=1}^{r+1} w_i h_{m-i}: E^r lies
+    in the (r+1)-dimensional span of E^{r-i} (E')^i, which d/dx maps to itself, so
+    det(D - M) E^r = 0.  The weights are the :func:`_binom_fold` memo, fetched only when
+    n > r, never from the closed forms' derived pairs.  A large r with a small n
+    holds only min(n, r) + 1 values.
     """
     if r == 1:
         return terms(params, which, n)
 
     def make():
-        base = terms(params, which, min(n, r))
-        weights = _binom_fold(params, r) if n > r else ()
-
-        def step(top: list[int], m: int) -> int:
-            if m > r:
-                return sum(map(mul, weights, top[m - r - 1:m]))
+        top = min(n, r)
+        h, base = [], terms(params, which, top) if which == "v" else ()
+        for m in range(top + 1):
             if which == "u":
-                return factorial(r) if m == r else 0
-            if m == 0:
-                return 2**r
-            row = [comb(m - 1, j) for j in range(m + 1)]  # C(m-1, m) = 0
-            bracket = zip(row, row[1:], base[1:m + 1], reversed(top))
-            return exact_div(sum((r * c - d) * w * h for c, d, w, h in bracket), 2)
-
-        return (), step
+                h.append(factorial(r) if m == r else 0)
+            elif m == 0:
+                h.append(2**r)
+            else:
+                row = [comb(m - 1, j) for j in range(m + 1)]  # C(m-1, m) = 0
+                bracket = zip(row, row[1:], base[1:m + 1], reversed(h))
+                h.append(exact_div(sum((r * c - d) * w * g for c, d, w, g in bracket), 2))
+        return h, _binom_fold(params, r) if n > r else (), None
 
     return grow(("fold", params, which, r), n, make)
 
@@ -384,8 +375,8 @@ def rhs_pair_plain(n: int) -> int:
     """sum_{m=0}^{floor((n-1)/2)} (n-2m-1) B_{n-2m-1}, valid for n >= 2.
 
     This is T(n), where T(k) sums j B_j over 0 <= j <= k-1 with j = k-1 (mod 2);
-    so T(k) = T(k-2) + (k-1) B_{k-1}, with T(0) = T(1) = 0.  The list is the
-    store's "T" table (:func:`sequences.grow`), grown from k = 0, so each value
+    so T(k) = T(k-2) + (k-1) B_{k-1}, with T(0) = T(1) = 0: the record (:func:`sequences.grow`)
+    of the store's "T" list, forcing k -> (k-1) B_{k-1} read from the B list, so each value
     costs one big-int product and is made once per process.  It reads B alone,
     never the S_2 list of the pair oracles, so the two routes stay independent.
     """
@@ -394,7 +385,7 @@ def rhs_pair_plain(n: int) -> int:
 
     def make():
         B = terms(BALANCING, "u", n)
-        return (0, 0), lambda t, k: t[k - 2] + (k - 1) * B[k - 1]
+        return (0, 0), (0, 1), lambda k: (k - 1) * B[k - 1]
 
     return grow("T", n, make)[n]
 
@@ -555,13 +546,13 @@ Side = Callable[[SeqParams, int, int], int]
 
 
 def _of_n(fn: Callable[[int], int]) -> Side:
-    """Catalog side f(params, r, n) that calls ``fn(n)``."""
-    return lambda params, r, n: fn(n)
+    """Catalog side f(params, r, n) that calls ``fn(n)``, named as ``fn`` is."""
+    return wraps(fn)(lambda params, r, n: fn(n))
 
 
 def _of_r_n(fn: Callable[[int, int], int]) -> Side:
-    """Catalog side f(params, r, n) that calls ``fn(r, n)``."""
-    return lambda params, r, n: fn(r, n)
+    """Catalog side f(params, r, n) that calls ``fn(r, n)``, named as ``fn`` is."""
+    return wraps(fn)(lambda params, r, n: fn(r, n))
 
 
 # Domain rules: the smallest n a family's closed form admits, given r.
@@ -699,6 +690,11 @@ class NotInteger(NamedTuple):
         return f"not an integer (division by {self.divisor} leaves a remainder of {self.remainder})"
 
 
+def is_mismatch(lhs: int | NotInteger, rhs: int | NotInteger) -> bool:
+    """verify's and table's rule: the sides differ, or one is :class:`NotInteger`."""
+    return lhs != rhs or isinstance(lhs, NotInteger)
+
+
 class Failure(NamedTuple):
     """One exact mismatch witness."""
 
@@ -772,19 +768,17 @@ def verify_identity(
     params: SeqParams | None = None,
     r: int | None = None,
 ) -> VerificationReport:
-    """Evaluate oracle and closed form for every n in range; record mismatches.
+    """Evaluate oracle and closed form for every n in range; record each :func:`is_mismatch`.
 
-    The requested range is clamped by :func:`clamp_to_domain` (a lower end
-    of None starts at the domain minimum).  Every failure witness
-    re-evaluates to the recorded values because both sides are pure.  A side
-    that is not an integer is a failure whatever the other side is.
+    The range is clamped by :func:`clamp_to_domain` (a lower end of None starts at the domain
+    minimum).  Every failure witness re-evaluates to the recorded values: both sides are pure.
     """
     params, r = resolve_identity_args(identity, params, r)
     lo, hi = clamp_to_domain(identity, r, *n_range)
     failures = tuple(
         Failure(n, lhs, rhs)
         for n, lhs, rhs in evaluate_range(identity, params, r, lo, hi)
-        if lhs != rhs or isinstance(lhs, NotInteger)
+        if is_mismatch(lhs, rhs)
     )
     return VerificationReport(identity, params, r, (lo, hi), hi - lo + 1, failures)
 

@@ -7,15 +7,16 @@ recurrence w_n = a*w_{n-1} + b*w_{n-2}:
     v: v_0 = 2, v_1 = a        (Lucas numbers at (1, 1))
 
 Lucas-balancing numbers are v_n / 2 at (6, -1); the halving is always exact.
-Every table of the package, these terms and the lists of :mod:`.identities`,
-is one grow-only list in the store below, read and grown only through :func:`grow`.
+Every table of the package, these terms and the lists of :mod:`.identities`, is one grow-only
+list in the store below, grown only by :func:`grow` from the recurrence it declares as data.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import namedtuple
-from typing import Callable, Hashable, Iterable
+from operator import mul
+from typing import Callable, Hashable
 
 from .combinatorics import exact_div
 
@@ -65,20 +66,27 @@ _tables: dict[Hashable, list[int]] = {}
 _lock = threading.Lock()
 
 
-def grow(key: Hashable, n: int, make: Callable[[], tuple[Iterable[int], Callable]]) -> list[int]:
-    """The live list under ``key``, grown to hold index n; callers only read it.  A list
-    that holds n is returned as it is.  Otherwise ``make()``, run outside the lock so it
-    may grow a table it reads, returns ``(seed, step)``; under the lock, a missing list
-    starts as ``seed``, then ``step(values, m)`` is appended for each missing index m in
-    order.  The lock is not reentrant, so ``step`` must not call grow()."""
+def grow(key: Hashable, n: int, make: Callable[[], tuple]) -> list[int]:
+    """The live list under ``key``, grown to hold index n; callers only read it.  A list that
+    holds n is returned as it is.  Otherwise ``make()``, run outside the lock so it may grow a
+    table it reads, returns the table's record ``(seed, weights, forcing)``.  Under the lock the
+    list takes the seed entries it lacks; each later missing m, in order, gets sum_{1 <= i <= m}
+    weights[i-1] values[m-i] plus ``forcing(m)`` unless forcing is None (two weights unrolled).
+    The lock is not reentrant: forcing reads make's lists."""
     values = _tables.get(key)
     if values is not None and len(values) > n:
         return values
-    seed, step = make()
+    seed, weights, forcing = make()
     with _lock:
-        values = _tables.setdefault(key, list(seed))
+        values = _tables.setdefault(key, [])
+        values += seed[len(values):]
+        a, b = weights if len(weights) == 2 <= len(values) else (None, None)
         for m in range(len(values), n + 1):
-            values.append(step(values, m))
+            if b is None:
+                value = sum(map(mul, weights, reversed(values)))
+            else:
+                value = a * values[m - 1] + b * values[m - 2]
+            values.append(value if forcing is None else value + forcing(m))
     return values
 
 
@@ -97,13 +105,8 @@ def v(params: SeqParams, n: int) -> int:
 
 
 def terms(params: SeqParams, which: str, n: int) -> list[int]:
-    """The store's list of ``which`` ("u" or "v") terms, grown to hold index n (:func:`grow`)."""
-
-    def make():
-        a, b = params
-        return (0, 1) if which == "u" else (2, a), lambda w, m: a * w[m - 1] + b * w[m - 2]
-
-    return grow((params, which), n, make)
+    """The store's ``which`` ("u" or "v") list to index n: record ((0, 1) or (2, a), (a, b), None)."""
+    return grow((params, which), n, lambda: ((0, 1) if which == "u" else (2, params.a), params, None))
 
 
 def balancing(n: int) -> int:

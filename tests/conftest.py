@@ -1,10 +1,11 @@
 """Tier-1 harness: a deadline on every test, so a hang fails the run instead of stalling it.
 
 A test still running after ``DEADLINE_S`` seconds makes the process print every
-thread's traceback and exit, as a ``step`` that re-entered the table store's
-lock would otherwise block forever.  The limit sits above the 60 s deadline of
-the thread tests' helper.  The traceback goes to a copy of stderr taken while
-pytest configures its plugins, before output capture starts, so it is shown.
+thread's traceback and exit, as a table's ``forcing`` that re-entered the table
+store's lock would otherwise block forever.  The limit sits above the 60 s
+deadline of the thread tests' helper.  The traceback goes to a copy of stderr
+taken while pytest configures its plugins, before output capture starts, so it
+is shown.
 """
 
 import faulthandler

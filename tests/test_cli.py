@@ -201,11 +201,13 @@ def test_table_command():
     code, out, _ = invoke(["table", "--identity", "pair-plain", "--n-min", "2", "--n-max", "5", "--format", "csv"])
     assert code == 0
     assert out == "n,lhs,rhs\n2,1,1\n3,12,12\n4,106,106\n5,828,828\n"
+    # a mismatching row makes table exit 1 by verify's rule, every row still shown
     code, out, _ = invoke(["table", "--identity", "cor-printed-r5", "--n-max", "12", "--format", "json"])
-    assert code == 0
+    assert code == 1
     rows = json.loads(out)["rows"]
     assert rows[0]["n"] == "10" and rows[0]["lhs"] == rows[0]["rhs"]
     assert rows[-1]["n"] == "12" and rows[-1]["lhs"] != rows[-1]["rhs"]
+    assert invoke(["table", "--identity", "cor-printed-r5", "--n-max", "11"])[0] == 0
 
 
 def test_a_closed_form_that_is_not_an_integer_is_a_mismatch(monkeypatch):

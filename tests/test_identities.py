@@ -5,7 +5,7 @@ import pkgutil
 import sys
 import threading
 import time
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, prod
@@ -418,7 +418,7 @@ def _run_in_threads(work, count=4):
     """Run work(t), t = 0..count-1, in daemon threads started together at a 1 us switch
     interval; return the threads still running 60 s later.
 
-    A step that re-entered the store's lock, which is not reentrant, would block its
+    A forcing term that re-entered the store's lock, which is not reentrant, would block its
     thread for good while holding that lock.  The store then gets a fresh lock, so the
     caller's failing assert is the only test the fault takes down.
     """
@@ -642,7 +642,7 @@ def test_ode_weights_are_the_product_of_the_derived_lucas_pairs():
                 if r % 2 == 0:
                     det = _poly_mul(det, [1, -a * r // 2])
                 weights = identities._binom_fold(params, r)
-                assert [1, *(-w for w in reversed(weights))] == det, (a, b, r)
+                assert [1, *(-w for w in weights)] == det, (a, b, r)
                 assert identities._binom_fold(params, r) is weights  # one memo per (params, r)
 
 
@@ -800,7 +800,8 @@ def _key_kind(key, params):
 
 #: Row -> (key kinds the oracle reaches, key kinds the closed form reaches), r = 3 where the
 #: row leaves r free and the default (6, -1) for general-u/v.  Only a term list at the row's
-#: own parameters is shared; the u fold fetches that list but reads no value of it.
+#: own parameters is shared; a u fold of r >= 2 reaches no term list, since its seed is
+#: r! at index r and zeros below.
 _ROUTE_KINDS = {
     "pair-telescope": ({"S_2", "u"}, {"u"}),
     "triple-alt": ({"f^r"}, {"u"}),
@@ -810,13 +811,13 @@ _ROUTE_KINDS = {
     "cor-printed-r6": ({"f^r"}, {"u"}),
     "pair-plain": ({"S_2", "u"}, {"T", "u"}),
     "general-plain": ({"f^r"}, {"u"}),
-    "binom-pair-b": ({"fold", "u"}, {"v"}),
+    "binom-pair-b": ({"fold"}, {"v"}),
     "binom-pair-c": ({"fold", "v"}, {"v"}),
-    "multinom-triple-b": ({"fold", "u"}, {"u", "derived u"}),
+    "multinom-triple-b": ({"fold"}, {"u", "derived u"}),
     "multinom-triple-c": ({"fold", "v"}, {"v", "derived v"}),
-    "general-u": ({"fold", "u"}, {"derived u"}),
+    "general-u": ({"fold"}, {"derived u"}),
     "general-v": ({"fold", "v"}, {"derived v"}),
-    "fib-pair-f": ({"fold", "u"}, {"v"}),
+    "fib-pair-f": ({"fold"}, {"v"}),
     "fib-pair-l": ({"fold", "v"}, {"v"}),
 }
 
@@ -854,6 +855,57 @@ def test_each_route_reaches_only_its_own_tables(monkeypatch):
     for oracle, closed in kinds.values():
         assert not closed & {"f^r", "S_2", "fold"}
         assert not oracle & {"T", "derived u", "derived v"}
+
+
+def test_every_catalog_side_carries_its_function_name():
+    # the _of_n/_of_r_n adapters take the name and qualified name of the function they call,
+    # so a trace span or a traceback names the side, never <lambda>
+    for identity, info in CATALOG.items():
+        for side in (info.lhs, info.rhs):
+            fn = getattr(side, "__wrapped__", side)
+            assert getattr(identities, fn.__name__) is fn, identity
+            assert (side.__name__, side.__qualname__) == (fn.__name__, fn.__qualname__), identity
+    side = CATALOG[IdentityId.GENERAL_ALT].rhs
+    assert (side.__name__, side.__wrapped__) == ("rhs_general_alt", rhs_general_alt)
+    assert side(BALANCING, 3, 10) == rhs_general_alt(3, 10)
+
+
+def test_every_record_replays_in_a_bounded_window(monkeypatch):
+    # each table's make() returns its recurrence as data, (seed, weights, forcing); rerun from
+    # that record alone, holding only max(len(seed), len(weights)) values, it gives every
+    # value of the store's list through the n it was made for
+    records, grow = [], sequences.grow
+
+    def spy(key, n, make):
+        def recording_make():
+            record = make()
+            records.append((key, n, record))
+            return record
+
+        return grow(key, n, recording_make)
+
+    monkeypatch.setattr(sequences, "grow", spy)
+    monkeypatch.setattr(identities, "grow", spy)
+    clear_caches()
+    for identity in IdentityId:
+        verify_identity(identity, (None, 40), *_row_args(identity))
+    kinds = {key if isinstance(key, str) else key[0] if isinstance(key[0], str) else "terms"
+             for key, _, _ in records}
+    assert kinds == {"terms", "f^r", "S_2", "T", "fold"}
+    assert any(len(weights) > 2 and n > len(seed) for key, n, (seed, weights, _) in records)
+    for key, n, (seed, weights, forcing) in records:
+        assert all(type(x) is int for x in (*seed, *weights)), key
+        window = deque(maxlen=max(len(seed), len(weights)))
+        listed = sequences._tables[key]
+        for m in range(n + 1):
+            if m < len(seed):
+                value = seed[m]
+            else:
+                value = sum(w * h for w, h in zip(weights, reversed(window)))
+                value += forcing(m) if forcing is not None else 0
+            window.append(value)
+            assert value == listed[m], (key, m)
+    clear_caches()
 
 
 #: Shared term list -> the rows whose sweep to n = 30 must find one of its entries off by one.
@@ -1198,12 +1250,13 @@ def _count_growths(monkeypatch) -> list:
 
 def test_a_sweep_grows_each_table_once(monkeypatch):
     # evaluate_range computes the row at hi first, so each table grows once, to the top
-    # of the range, and every lower row reads it as it is: not one growth per n
+    # of the range, and every lower row reads it as it is: not one growth per n.  Three
+    # keys: the u fold, which reads no term list, and the closed form's two derived v pairs
     clear_caches()
     calls = _count_growths(monkeypatch)
     report = verify_identity(IdentityId.GENERAL_U, (0, 250), SeqParams(2, 3), 4)
     assert report.passed and report.checked == 251
-    assert len(calls) == len(set(calls)) == len(sequences._tables) == 4
+    assert len(calls) == len(set(calls)) == len(sequences._tables) == 3
 
 
 @pytest.mark.parametrize("identity", IdentityId, ids=lambda identity: identity.value)
@@ -1232,7 +1285,7 @@ _TABLE_READS = {
 @pytest.mark.parametrize("read", _TABLE_READS.values(), ids=_TABLE_READS)
 def test_a_second_read_makes_nothing(read, monkeypatch):
     # grow() calls make only when a list must grow, so once a table holds its top a read
-    # at the top or below it builds no seed or step and fetches no P^r, weights or terms
+    # at the top or below it builds no record and fetches no P^r, weights or terms
     def refuse(*args, **kwargs):
         raise AssertionError("a read of a grown table fetched what only growth needs")
 

@@ -210,3 +210,34 @@ def test_the_table_store_holds_the_package_s_only_lock():
         if isinstance(value, lock_types)
     ]
     assert len(locks) == 1 and locks[0][2] is sequences._lock
+
+
+#: Records (seed, weights, forcing) for grow(): order 2 with each weight 0, 1 or -1, more
+#: weights than seed entries (as the f^r lists have), no weights, and a seed past the top
+_RECORDS = {
+    "balancing": ((0, 1), (6, -1), None),
+    "T-like": ((0, 0), (0, 1), lambda m: 3 * m - 1),
+    "weight-1-0": ((5, -2), (1, 0), None),
+    "zero-weights": ((1, 1), (0, 0), lambda m: m * m),
+    "weight-minus-3-1": ((2, 7), (-3, 1), None),
+    "order-4": ((0, 0, 1), (4, -6, 4, -1), None),
+    "longer-than-seed": ((0, 1), (1, 1, 1), None),
+    "no-weights": ((4, 5, 6), (), lambda m: -m),
+    "seed-past-top": ((9, 8, 7, 6, 5), (2,), None),
+}
+
+
+@pytest.mark.parametrize("seed, weights, forcing", _RECORDS.values(), ids=_RECORDS)
+def test_grow_applies_one_rule_to_every_record(seed, weights, forcing):
+    # past the seed, values[m] = sum_i weights[i-1] values[m-i] over 1 <= i <= m, plus
+    # forcing(m) when there is one; the unrolled order-2 path gives the same values
+    want = list(seed)
+    for m in range(len(seed), 41):
+        total = sum(w * want[m - i] for i, w in enumerate(weights, 1) if i <= m)
+        want.append(total + (forcing(m) if forcing else 0))
+    key = ("record", seed, weights)
+    try:
+        assert sequences.grow(key, 2, lambda: (seed, weights, forcing))[:3] == want[:3]
+        assert sequences.grow(key, 40, lambda: (seed, weights, forcing)) == want
+    finally:
+        del sequences._tables[key]
