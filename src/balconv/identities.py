@@ -3,8 +3,8 @@
 Each catalog entry pairs a brute-force left-hand side (a convolution computed
 directly: a coefficient of the OGF power x^r / P^r read from the recurrence
 whose characteristic polynomial is P^r, the balancing pair sum S_2 read from
-P f^2 = x f, or a binomial-weighted fold m! [x^m] E^r seeded up to index r
-from the sequence alone and then read from the recurrence E^r obeys) with a
+P f^2 = x f, or a binomial-weighted fold m! [x^m] E^r stepped by the matrix M
+of d/dx through index r and then read from the recurrence det(x - M)) with a
 closed-form right-hand side evaluated in integers; a closed form that divides
 does so with :func:`exact_div`, which raises on a remainder.
 :func:`verify_identity` sweeps a range of n and reports every mismatch with an
@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations
-from math import comb, factorial
+from math import comb
 from typing import Callable, Iterator, NamedTuple
 
 from . import combinatorics, sequences
@@ -33,6 +33,7 @@ from .sequences import (
     SeqParams,
     balancing,
     grow,
+    initial_terms,
     lucas,
     lucas_balancing,
     terms,
@@ -211,7 +212,7 @@ def _binom_fold(params: SeqParams, r: int) -> tuple[int, ...]:
     + i a E^{r-i} F^i + i b E^{r-i+1} F^{i-1}.  Its characteristic polynomial
     is the continuant p_{i+1} = (x - i a) p_i - (r-i+1) i b p_{i-1}, p_0 = 1,
     p_1 = x, kept as integer coefficient lists, highest degree first.  The
-    weights depend on a, b and r alone, so the u and v folds share them.
+    weights depend on a, b and r alone, so the u and v folds share them as they share M's steps.
     """
     a, b = params.a, params.b
     before, p = [1], [1, 0]
@@ -223,35 +224,30 @@ def _binom_fold(params: SeqParams, r: int) -> tuple[int, ...]:
 
 
 def _fold_levels(params: SeqParams, which: str, r: int, n: int) -> list[int]:
-    """The r-fold binomial convolution h_m = m! [x^m] E^r for m = 0..n, E the EGF of w.
+    """The r-fold binomial convolution h_m = m! [x^m] E_w^r for m = 0..n, E_w the EGF of w.
 
-    r = 1 is the sequence's own list (:func:`terms`).  For r >= 2 it is the store's
-    ("fold", params, which, r) list.  Its record (:func:`sequences.grow`) seeds h_m through
-    index min(n, r) from w alone, the whole window each time the list grows inside it: u_0 = 0
-    makes E^r = x^r (1 + O(x)), so h_m is r! at m = r and 0 below; for v, H = E^r satisfies
-    H' E = r E' H, which read at EGF index m - 1 with v_0 = 2 gives h_0 = 2^r and, with
-    C(m-1, .) from :func:`math.comb`, h_m = (1/2) sum_{i=1}^{m} (r C(m-1, i-1) - C(m-1, i))
-    v_i h_{m-i}.  Past index r the weights give h_m = sum_{i=1}^{r+1} w_i h_{m-i}: E^r lies
-    in the (r+1)-dimensional span of E^{r-i} (E')^i, which d/dx maps to itself, so
-    det(D - M) E^r = 0.  The weights are the :func:`_binom_fold` memo, fetched only when
-    n > r, never from the closed forms' derived pairs.  A large r with a small n
-    holds only min(n, r) + 1 values.
+    r = 1 is the sequence's own list (:func:`terms`).  For r >= 2 it is the store's ("fold",
+    params, which, r) list, read from the one M of :func:`_binom_fold`, d/dx on E^{r-i} F^i
+    (E the EGF of u, F = E').  E_w = w_0 F + (w_1 - a w_0) E has E_w^r = sum_i C(r, i) w_0^i
+    (w_1 - a w_0)^{r-i} E^{r-i} F^i, and a step of M maps coordinates c to c'_j = (r-j+1)
+    c_{j-1} + j a c_j + (j+1) b c_{j+1}; as E(0) = 0 and F(0) = 1, h_m is the last coordinate
+    after m steps.  The record (:func:`sequences.grow`) seeds h_0..h_top, top = min(n, r), whole
+    each time the list grows inside it, from the band r - top .. r, which loses its lowest
+    coordinate each step.  Past index r, det(D - M) E_w^r = 0 gives h_m = sum_{i=1}^{r+1} w_i
+    h_{m-i} with the :func:`_binom_fold` weights, fetched only when n > r.  u and v differ
+    only in (w_0, w_1) (:func:`initial_terms`); a large r with a small n holds top + 1 values.
     """
     if r == 1:
         return terms(params, which, n)
 
     def make():
-        top = min(n, r)
-        h, base = [], terms(params, which, top) if which == "v" else ()
-        for m in range(top + 1):
-            if which == "u":
-                h.append(factorial(r) if m == r else 0)
-            elif m == 0:
-                h.append(2**r)
-            else:
-                row = [comb(m - 1, j) for j in range(m + 1)]  # C(m-1, m) = 0
-                bracket = zip(row, row[1:], base[1:m + 1], reversed(h))
-                h.append(exact_div(sum((r * c - d) * w * g for c, d, w, g in bracket), 2))
+        (a, b), (w0, w1), top = params, initial_terms(params, which), min(n, r)
+        c = [comb(r, i) * w0**i * (w1 - a * w0) ** (r - i) for i in range(r - top, r + 1)]
+        h = [c[-1]]
+        for lo in range(r - top + 1, r + 1):  # the band lo..r after one more step
+            c = [(r - j + 1) * x + j * a * y + (j + 1) * b * z
+                 for j, x, y, z in zip(range(lo, r + 1), c, c[1:], [*c[2:], 0])]
+            h.append(c[-1])
         return h, _binom_fold(params, r) if n > r else (), None
 
     return grow(("fold", params, which, r), n, make)

@@ -26,6 +26,7 @@ __all__ = [
     "SeqParams",
     "balancing",
     "grow",
+    "initial_terms",
     "lucas",
     "lucas_balancing",
     "terms",
@@ -70,8 +71,8 @@ def grow(key: Hashable, n: int, make: Callable[[], tuple]) -> list[int]:
     """The live list under ``key``, grown to hold index n; callers only read it.  A list that
     holds n is returned as it is.  Otherwise ``make()``, run outside the lock so it may grow a
     table it reads, returns the table's record ``(seed, weights, forcing)``.  Under the lock the
-    list takes the seed entries it lacks; each later missing m, in order, gets sum_{1 <= i <= m}
-    weights[i-1] values[m-i] plus ``forcing(m)`` unless forcing is None (two weights unrolled).
+    list takes the seed entries it lacks; each later missing m, in order, gets the one rule
+    sum_{1 <= i <= m} weights[i-1] values[m-i], plus ``forcing(m)`` unless forcing is None.
     The lock is not reentrant: forcing reads make's lists."""
     values = _tables.get(key)
     if values is not None and len(values) > n:
@@ -80,12 +81,8 @@ def grow(key: Hashable, n: int, make: Callable[[], tuple]) -> list[int]:
     with _lock:
         values = _tables.setdefault(key, [])
         values += seed[len(values):]
-        a, b = weights if len(weights) == 2 <= len(values) else (None, None)
         for m in range(len(values), n + 1):
-            if b is None:
-                value = sum(map(mul, weights, reversed(values)))
-            else:
-                value = a * values[m - 1] + b * values[m - 2]
+            value = sum(map(mul, weights, reversed(values)))
             values.append(value if forcing is None else value + forcing(m))
     return values
 
@@ -104,9 +101,14 @@ def v(params: SeqParams, n: int) -> int:
     return terms(params, "v", n)[n]
 
 
+def initial_terms(params: SeqParams, which: str) -> tuple[int, int]:
+    """(w_0, w_1) of the ``which`` ("u" or "v") sequence: (0, 1) or (2, a)."""
+    return (0, 1) if which == "u" else (2, params.a)
+
+
 def terms(params: SeqParams, which: str, n: int) -> list[int]:
-    """The store's ``which`` ("u" or "v") list to index n: record ((0, 1) or (2, a), (a, b), None)."""
-    return grow((params, which), n, lambda: ((0, 1) if which == "u" else (2, params.a), params, None))
+    """The store's ``which`` list to index n: record (:func:`initial_terms`, (a, b), None)."""
+    return grow((params, which), n, lambda: (initial_terms(params, which), params, None))
 
 
 def balancing(n: int) -> int:

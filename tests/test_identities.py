@@ -627,6 +627,23 @@ def _poly_mul(p, q):
     return out
 
 
+def test_binom_fold_matches_literal_fold_on_the_small_grid():
+    # every (a, b) with |a|, |b| <= 6 and a nonzero discriminant, r = 2..9, n = 0..r + 2 in
+    # order: the window of M's steps from (w_0, w_1), regrown inside itself, then the weights
+    clear_caches()
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            if a * a + 4 * b == 0:
+                continue
+            params = SeqParams(a, b)
+            for which, conv in (("u", binom_conv_u), ("v", binom_conv_v)):
+                want = _literal_comb_fold(sequences.terms(params, which, 11), 9, 11)
+                for r in range(2, 10):
+                    got = [conv(params, r, n) for n in range(r + 3)]
+                    assert got == want[r - 1][: r + 3], (a, b, which, r)
+    clear_caches()
+
+
 def test_ode_weights_are_the_product_of_the_derived_lucas_pairs():
     # det(x - M) has the roots (r - j) alpha + j beta, j = 0..r: the pairs j, r - j give
     # x^2 - r a x + a^2 j(r-j) - (r-2j)^2 b, and even r adds the root a r / 2
@@ -651,30 +668,34 @@ def _fold_keys():
 
 
 def test_binom_fold_keeps_one_list_per_key(monkeypatch):
-    # each (params, which, r) key is built from the sequence and its own list alone: the
-    # u window needs no binomial, the v window one math.comb row C(m - 1, .) per index m;
-    # the weights are made once per (params, r), only past index r, and u and v share them
+    # each (params, which, r) key is built from (w_0, w_1) and its own list alone: the window
+    # through index top = min(n, r) calls math.comb once for each coordinate C(r, i) of the
+    # band r - top .. r, and makes no weights; the weights are made once per (params, r),
+    # only past index r, and u and v share them
     seeded = []
-    monkeypatch.setattr(identities, "comb", lambda m, j: seeded.append(m) or comb(m, j))
+    monkeypatch.setattr(identities, "comb", lambda m, j: seeded.append((m, j)) or comb(m, j))
     params = SeqParams(2, 3)
     clear_caches()
     want = rhs_multinom_u(params, 5, 2000), rhs_multinom_v(params, 5, 2000)
     seeded.clear()
     assert binom_conv_u(params, 5, 2000) == want[0]
-    assert seeded == []
+    assert seeded == [(5, i) for i in range(6)]
     assert binom_conv_v(params, 5, 2000) == want[1]
+    assert seeded == [(5, i) for i in range(6)] * 2
     assert _fold_keys() == {("fold", params, "u", 5), ("fold", params, "v", 5)}
     assert identities._binom_fold.cache_info().currsize == 1
     clear_caches()
     seeded.clear()
     binom_conv_v(FIBONACCI, 1200, 3)
-    assert seeded and max(seeded) <= 2
+    assert seeded == [(1200, i) for i in range(1197, 1201)]
     assert _fold_keys() == {("fold", FIBONACCI, "v", 1200)}
     assert len(sequences._tables["fold", FIBONACCI, "v", 1200]) == 4
     assert identities._binom_fold.cache_info().currsize == 0
     # a large r with n = 0 holds one value, not one list per level, and builds no weights
+    seeded.clear()
     assert binom_conv_u(params, 400_000, 0) == 0
     assert binom_conv_v(params, 100_000, 0) == 2**100_000
+    assert seeded == [(400_000, 400_000), (100_000, 100_000)]
     assert _fold_keys() == {
         ("fold", FIBONACCI, "v", 1200), ("fold", params, "u", 400_000), ("fold", params, "v", 100_000)
     }
@@ -800,8 +821,8 @@ def _key_kind(key, params):
 
 #: Row -> (key kinds the oracle reaches, key kinds the closed form reaches), r = 3 where the
 #: row leaves r free and the default (6, -1) for general-u/v.  Only a term list at the row's
-#: own parameters is shared; a u fold of r >= 2 reaches no term list, since its seed is
-#: r! at index r and zeros below.
+#: own parameters is shared; a fold of r >= 2 reaches no term list, since its window starts
+#: from (w_0, w_1) alone.
 _ROUTE_KINDS = {
     "pair-telescope": ({"S_2", "u"}, {"u"}),
     "triple-alt": ({"f^r"}, {"u"}),
@@ -812,13 +833,13 @@ _ROUTE_KINDS = {
     "pair-plain": ({"S_2", "u"}, {"T", "u"}),
     "general-plain": ({"f^r"}, {"u"}),
     "binom-pair-b": ({"fold"}, {"v"}),
-    "binom-pair-c": ({"fold", "v"}, {"v"}),
+    "binom-pair-c": ({"fold"}, {"v"}),
     "multinom-triple-b": ({"fold"}, {"u", "derived u"}),
-    "multinom-triple-c": ({"fold", "v"}, {"v", "derived v"}),
+    "multinom-triple-c": ({"fold"}, {"v", "derived v"}),
     "general-u": ({"fold"}, {"derived u"}),
-    "general-v": ({"fold", "v"}, {"derived v"}),
+    "general-v": ({"fold"}, {"derived v"}),
     "fib-pair-f": ({"fold"}, {"v"}),
-    "fib-pair-l": ({"fold", "v"}, {"v"}),
+    "fib-pair-l": ({"fold"}, {"v"}),
 }
 
 
@@ -855,6 +876,8 @@ def test_each_route_reaches_only_its_own_tables(monkeypatch):
     for oracle, closed in kinds.values():
         assert not closed & {"f^r", "S_2", "fold"}
         assert not oracle & {"T", "derived u", "derived v"}
+        if "fold" in oracle:  # every fold row runs at r = 2 or 3
+            assert not oracle & {"u", "v"}
 
 
 def test_every_catalog_side_carries_its_function_name():
@@ -924,8 +947,8 @@ def test_a_wrong_shared_term_is_found_by_every_row_that_reads_it(key, readers):
     # value reports a witness n >= 7; binom-pair-b/c and multinom-triple-b/c, whose closed
     # forms then divide inexactly, report theirs as a side that is not an integer.  Every
     # other row reads nothing of it and gives its clean report, cor-printed-r5's transcription
-    # failures included: general-u's u fold seeds with r! and grows from weights in (a, b),
-    # and general-v's v fold reads the list only through index r = 3
+    # failures included: a fold of r >= 2 starts from (w_0, w_1) and grows from weights in
+    # (a, b), so it reads no term list
     def sweep(identity):
         return verify_identity(identity, (None, 30), *_row_args(identity))
 
@@ -1261,15 +1284,15 @@ def test_a_sweep_grows_each_table_once(monkeypatch):
 
 @pytest.mark.parametrize("identity", IdentityId, ids=lambda identity: identity.value)
 def test_no_sweep_grows_a_table_per_n(identity, monkeypatch):
-    # at most twice per key: a fold reads its own terms to index r before a closed form
-    # of the same sweep grows that list to the top
+    # once per key: no oracle's make reads a term list short of the top, so no list grows
+    # part way before a closed form of the same sweep grows it to the top
     clear_caches()
     calls = _count_growths(monkeypatch)
     r = 4 if CATALOG[identity].r is None else None
     report = verify_identity(identity, (None, 250), None, r)
     assert report.checked > 200
     assert set(calls) == set(sequences._tables)
-    assert max(Counter(calls).values()) <= 2
+    assert max(Counter(calls).values()) == 1
 
 
 #: One read per store key kind: the terms, f^r, S_2, T and a fold read past its index r.

@@ -230,7 +230,7 @@ _RECORDS = {
 @pytest.mark.parametrize("seed, weights, forcing", _RECORDS.values(), ids=_RECORDS)
 def test_grow_applies_one_rule_to_every_record(seed, weights, forcing):
     # past the seed, values[m] = sum_i weights[i-1] values[m-i] over 1 <= i <= m, plus
-    # forcing(m) when there is one; the unrolled order-2 path gives the same values
+    # forcing(m) when there is one; records of two weights take the same rule as any other
     want = list(seed)
     for m in range(len(seed), 41):
         total = sum(w * want[m - i] for i, w in enumerate(weights, 1) if i <= m)

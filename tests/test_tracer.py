@@ -87,12 +87,14 @@ def test_tracer_matches_cli(argv):
 
 
 #: Test id -> {(trace table, key): True if it must be positive, False if it must be 0}.
-#: These mirror the tracer self-test ``EXPECT`` in perfbench/run.py: a general-v sweep
-#: calls math.comb in the oracle layer (sweep-binomial), a general-plain sweep multiplies
-#: series and calls no oracle comb (sweep-ogf), and the pair sums multiply no series
-#: (sweep-pair).  They move when ROADMAP item 2 moves those pins off these counters.
+#: These mirror the tracer self-test ``EXPECT`` in perfbench/run.py: general-v and general-u
+#: sweeps multiply no series, and general-v calls math.comb in the oracle layer
+#: (sweep-binomial), a general-plain sweep multiplies series and calls no oracle comb
+#: (sweep-ogf), and the pair sums multiply no series (sweep-pair).  They move when ROADMAP
+#: item 2 moves those pins off these counters.
 PINS = {
-    "verify-general-v-r5": {("comb", "identities.oracle"): True},
+    "verify-general-v-r5": {("comb", "identities.oracle"): True, ("counts", "mul_calls"): False},
+    "verify-general-u": {("counts", "mul_calls"): False},
     "verify-general-plain-blocks": {("counts", "mul_calls"): True, ("comb", "identities.oracle"): False},
     "verify-pair-plain": {("counts", "mul_calls"): False},
     "table-pair-telescope": {("counts", "mul_calls"): False},
