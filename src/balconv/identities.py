@@ -3,8 +3,9 @@
 Each catalog entry pairs a brute-force left-hand side (a convolution computed
 directly: a coefficient of the OGF power x^r / P^r read from the recurrence
 whose characteristic polynomial is P^r, the balancing pair sum S_2 read from
-P f^2 = x f, or a binomial-weighted fold m! [x^m] E^r stepped by the matrix M
-of d/dx through index r and then read from the recurrence det(x - M)) with a
+P f^2 = x f, or a binomial-weighted fold m! [x^m] E^r stepped, at every r >= 1,
+by the matrix M of d/dx through index r and then read from the recurrence
+det(x - M), never from the term list it folds) with a
 closed-form right-hand side evaluated in integers; a closed form that divides
 does so with :func:`exact_div`, which raises on a remainder.
 :func:`verify_identity` sweeps a range of n and reports every mismatch with an
@@ -223,22 +224,24 @@ def _binom_fold(params: SeqParams, r: int) -> tuple[int, ...]:
     return tuple(-w for w in p[1:])
 
 
-def _fold_levels(params: SeqParams, which: str, r: int, n: int) -> list[int]:
-    """The r-fold binomial convolution h_m = m! [x^m] E_w^r for m = 0..n, E_w the EGF of w.
+def _binom_conv(name: str, params: SeqParams, which: str, r: int, n: int) -> int:
+    """h_n of the r-fold binomial convolution h_m = m! [x^m] E_w^r, E_w the EGF of w = u or v.
 
-    r = 1 is the sequence's own list (:func:`terms`).  For r >= 2 it is the store's ("fold",
-    params, which, r) list, read from the one M of :func:`_binom_fold`, d/dx on E^{r-i} F^i
-    (E the EGF of u, F = E').  E_w = w_0 F + (w_1 - a w_0) E has E_w^r = sum_i C(r, i) w_0^i
-    (w_1 - a w_0)^{r-i} E^{r-i} F^i, and a step of M maps coordinates c to c'_j = (r-j+1)
-    c_{j-1} + j a c_j + (j+1) b c_{j+1}; as E(0) = 0 and F(0) = 1, h_m is the last coordinate
-    after m steps.  The record (:func:`sequences.grow`) seeds h_0..h_top, top = min(n, r), whole
-    each time the list grows inside it, from the band r - top .. r, which loses its lowest
-    coordinate each step.  Past index r, det(D - M) E_w^r = 0 gives h_m = sum_{i=1}^{r+1} w_i
-    h_{m-i} with the :func:`_binom_fold` weights, fetched only when n > r.  u and v differ
-    only in (w_0, w_1) (:func:`initial_terms`); a large r with a small n holds top + 1 values.
+    h is the store's ("fold", params, which, r) list, read from the one M of
+    :func:`_binom_fold`, d/dx on E^{r-i} F^i (E the EGF of u, F = E').  E_w = w_0 F + (w_1 -
+    a w_0) E has E_w^r = sum_i C(r, i) w_0^i (w_1 - a w_0)^{r-i} E^{r-i} F^i, and a step of M
+    maps coordinates c to c'_j = (r-j+1) c_{j-1} + j a c_j + (j+1) b c_{j+1}; as E(0) = 0 and
+    F(0) = 1, h_m is the last coordinate after m steps.  The record (:func:`sequences.grow`)
+    seeds h_0..h_top, top = min(n, r), whole each time the list grows inside it, from the band
+    r - top .. r, which loses its lowest coordinate each step.  Past index r, det(D - M) E_w^r
+    = 0 gives h_m = sum_{i=1}^{r+1} w_i h_{m-i} with the :func:`_binom_fold` weights, fetched
+    only when n > r.  u and v differ only in (w_0, w_1) (:func:`initial_terms`), and no fold
+    reads a term list, r = 1 included; a large r with a small n holds top + 1 values.
     """
-    if r == 1:
-        return terms(params, which, n)
+    if r < 1:
+        raise ValueError(f"{name}: r must be >= 1, got {r}")
+    if n < 0:
+        raise ValueError(f"{name}: n must be nonnegative, got {n}")
 
     def make():
         (a, b), (w0, w1), top = params, initial_terms(params, which), min(n, r)
@@ -250,15 +253,7 @@ def _fold_levels(params: SeqParams, which: str, r: int, n: int) -> list[int]:
             h.append(c[-1])
         return h, _binom_fold(params, r) if n > r else (), None
 
-    return grow(("fold", params, which, r), n, make)
-
-
-def _binom_conv(name: str, params: SeqParams, which: str, r: int, n: int) -> int:
-    if r < 1:
-        raise ValueError(f"{name}: r must be >= 1, got {r}")
-    if n < 0:
-        raise ValueError(f"{name}: n must be nonnegative, got {n}")
-    return _fold_levels(params, which, r, n)[n]
+    return grow(("fold", params, which, r), n, make)[n]
 
 
 def binom_conv_u(params: SeqParams, r: int, n: int) -> int:

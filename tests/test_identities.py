@@ -511,7 +511,8 @@ def _literal_comb_fold(seq, r, n):
 def test_binom_fold_levels_grow_out_of_order_like_the_literal_fold():
     # the seeded window of a request for (r, n) ends at index min(n, r); a request either
     # starts or continues its own key's window, or, once that is built, only extends the
-    # list by its recurrence; each request then reads every lower r's list too
+    # list by its recurrence; each request then grows every lower r's list, r = 1 included,
+    # to n and reads it whole
     other = SeqParams(1, 2)
     requests = [  # (params, which, r, n)
         (BALANCING, "u", 3, 70),  # first call: window 0..3
@@ -552,12 +553,14 @@ def test_binom_fold_levels_grow_out_of_order_like_the_literal_fold():
             seq = sequences.terms(params, which, n_max)
             want[params, which] = _literal_comb_fold(seq, r_max, n_max)
     clear_caches()
+    conv = {"u": binom_conv_u, "v": binom_conv_v}
     for params, which, r, n in requests:
-        got = identities._fold_levels(params, which, r, n)
+        got = conv[which](params, r, n)
         for k in range(1, r + 1):
-            level = identities._fold_levels(params, which, k, n)
-            assert level[: n + 1] == want[params, which][k - 1][: n + 1], (params, which, r, n, k)
-        assert got[n] == want[params, which][r - 1][n]
+            conv[which](params, k, n)
+            level = [conv[which](params, k, m) for m in range(n + 1)]
+            assert level == want[params, which][k - 1][: n + 1], (params, which, r, n, k)
+        assert got == want[params, which][r - 1][n]
 
 
 #: Fold parameters: PARAM_GRID, the sweep-binomial strata with both signs of a, a = 0, b = 0.
@@ -744,9 +747,9 @@ def _sequence_keys():
 
 
 def test_fold_and_closed_forms_read_separate_sequence_tables():
-    # The fold reads only (params, u/v) and adds its own fold lists; the closed forms add
-    # only their derived pairs, (ar, (r-2j)^2 b - a^2 j(r-j)) for j < r/2, u-tables only
-    # where r is odd.
+    # The fold, r = 1 included, reads no term list and adds only its own fold lists; the
+    # closed forms add only their derived pairs, (ar, (r-2j)^2 b - a^2 j(r-j)) for j < r/2,
+    # u-tables only where r is odd.  At r = 1 the derived pair is (a, b) itself.
     pairs = (BALANCING, SeqParams(-2, 3))
     clear_caches()
     for params in pairs:
@@ -754,10 +757,9 @@ def test_fold_and_closed_forms_read_separate_sequence_tables():
             for n in range(61):
                 binom_conv_u(params, r, n)
                 binom_conv_v(params, r, n)
-    own = {(params, which) for params in pairs for which in ("u", "v")}
-    folds = {("fold", params, which, r) for params in pairs for which in "uv" for r in range(2, 6)}
-    assert _sequence_keys() == own
-    assert set(sequences._tables) == own | folds
+    folds = {("fold", params, which, r) for params in pairs for which in "uv" for r in range(1, 6)}
+    assert _sequence_keys() == set()
+    assert set(sequences._tables) == folds
     derived = set()
     for params in pairs:
         a, b = params.a, params.b
@@ -768,7 +770,7 @@ def test_fold_and_closed_forms_read_separate_sequence_tables():
             for j in range((r + 1) // 2):
                 pair = SeqParams(a * r, (r - 2 * j) ** 2 * b - a * a * j * (r - j))
                 derived |= {(pair, "v")} | ({(pair, "u")} if r % 2 else set())
-    assert _sequence_keys() - own == derived - own
+    assert _sequence_keys() == derived
     assert set(sequences._tables) - _sequence_keys() == folds
 
 
@@ -820,9 +822,9 @@ def _key_kind(key, params):
 
 
 #: Row -> (key kinds the oracle reaches, key kinds the closed form reaches), r = 3 where the
-#: row leaves r free and the default (6, -1) for general-u/v.  Only a term list at the row's
-#: own parameters is shared; a fold of r >= 2 reaches no term list, since its window starts
-#: from (w_0, w_1) alone.
+#: row leaves r free, general-u/v at r = 1 too, and the default (6, -1) for general-u/v.  Only
+#: a term list at the row's own parameters is shared; no fold reaches a term list, since its
+#: window starts from (w_0, w_1) alone.
 _ROUTE_KINDS = {
     "pair-telescope": ({"S_2", "u"}, {"u"}),
     "triple-alt": ({"f^r"}, {"u"}),
@@ -838,14 +840,23 @@ _ROUTE_KINDS = {
     "multinom-triple-c": ({"fold"}, {"v", "derived v"}),
     "general-u": ({"fold"}, {"derived u"}),
     "general-v": ({"fold"}, {"derived v"}),
+    "general-u r=1": ({"fold"}, {"u"}),
+    "general-v r=1": ({"fold"}, {"v"}),
     "fib-pair-f": ({"fold"}, {"v"}),
     "fib-pair-l": ({"fold"}, {"v"}),
 }
 
 
-def _row_args(identity):
+def _row_args(identity, r=3):
     info = CATALOG[identity]
-    return resolve_identity_args(identity, None, 3 if info.r is None else None)
+    return resolve_identity_args(identity, None, r if info.r is None else None)
+
+
+#: Row -> (identity, r where it leaves r free): every catalog row, plus general-u/v at r = 1,
+#: where both routes give w_n, the fold by one step of M and the closed form from its table.
+_ROWS = {identity.value: (identity, 3) for identity in IdentityId} | {
+    f"{identity.value} r=1": (identity, 1) for identity in (IdentityId.GENERAL_U, IdentityId.GENERAL_V)
+}
 
 
 def test_each_route_reaches_only_its_own_tables(monkeypatch):
@@ -861,9 +872,9 @@ def test_each_route_reaches_only_its_own_tables(monkeypatch):
     monkeypatch.setattr(sequences, "grow", spy)
     monkeypatch.setattr(identities, "grow", spy)
     kinds = {}
-    for identity in IdentityId:
+    for row, (identity, free_r) in _ROWS.items():
         info = CATALOG[identity]
-        params, r = _row_args(identity)
+        params, r = _row_args(identity, free_r)
         sides = []
         for side in (info.lhs, info.rhs):
             clear_caches()
@@ -871,12 +882,12 @@ def test_each_route_reaches_only_its_own_tables(monkeypatch):
             for n in range(info.n_min(r), 31):
                 side(params, r, n)
             sides.append({_key_kind(key, params) for key in reached})
-        kinds[identity.value] = tuple(sides)
+        kinds[row] = tuple(sides)
     assert kinds == _ROUTE_KINDS
     for oracle, closed in kinds.values():
         assert not closed & {"f^r", "S_2", "fold"}
         assert not oracle & {"T", "derived u", "derived v"}
-        if "fold" in oracle:  # every fold row runs at r = 2 or 3
+        if "fold" in oracle:
             assert not oracle & {"u", "v"}
 
 
@@ -935,8 +946,8 @@ def test_every_record_replays_in_a_bounded_window(monkeypatch):
 _READERS = {
     "B": ((BALANCING, "u"), {"pair-telescope", "triple-alt", "general-alt", "cor-printed-r4",
                              "cor-printed-r5", "cor-printed-r6", "pair-plain", "general-plain",
-                             "multinom-triple-b"}),
-    "C": ((BALANCING, "v"), {"binom-pair-b", "binom-pair-c", "multinom-triple-c"}),
+                             "multinom-triple-b", "general-u r=1"}),
+    "C": ((BALANCING, "v"), {"binom-pair-b", "binom-pair-c", "multinom-triple-c", "general-v r=1"}),
     "Lucas": ((FIBONACCI, "v"), {"fib-pair-f", "fib-pair-l"}),
 }
 
@@ -947,22 +958,22 @@ def test_a_wrong_shared_term_is_found_by_every_row_that_reads_it(key, readers):
     # value reports a witness n >= 7; binom-pair-b/c and multinom-triple-b/c, whose closed
     # forms then divide inexactly, report theirs as a side that is not an integer.  Every
     # other row reads nothing of it and gives its clean report, cor-printed-r5's transcription
-    # failures included: a fold of r >= 2 starts from (w_0, w_1) and grows from weights in
-    # (a, b), so it reads no term list
-    def sweep(identity):
-        return verify_identity(identity, (None, 30), *_row_args(identity))
+    # failures included: a fold, r = 1 included, starts from (w_0, w_1) and grows from
+    # weights in (a, b), so it reads no term list
+    def sweep(identity, r):
+        return verify_identity(identity, (None, 30), *_row_args(identity, r))
 
     clear_caches()
-    clean = {identity: sweep(identity) for identity in IdentityId}
-    for identity in IdentityId:
+    clean = {row: sweep(*args) for row, args in _ROWS.items()}
+    for row, args in _ROWS.items():
         clear_caches()
         terms(*key, 40)[7] += 1
-        report = sweep(identity)
-        if identity.value in readers:
-            assert not report.passed and report != clean[identity], identity
+        report = sweep(*args)
+        if row in readers:
+            assert not report.passed and report != clean[row], row
             assert report.failures[0].n >= 7
         else:
-            assert report == clean[identity], identity
+            assert report == clean[row], row
     clear_caches()
 
 

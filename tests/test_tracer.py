@@ -20,11 +20,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 
-#: Test id -> argv.  The halved Lucas-balancing fold, the fold level that
-#: general-u's closed form shares with its oracle, a plain convolution read
-#: from its coefficient list, a sweep that extends that list one n at a
-#: time, and a catalog side bound to ``binom_conv_c`` itself run under the
-#: tracer too.
+#: Test id -> argv.  The halved Lucas-balancing fold, a general-u sweep whose
+#: fold and closed form read separate lists, a plain convolution read from
+#: its coefficient list, a sweep that extends that list one n at a time, and
+#: a catalog side bound to ``binom_conv_c`` itself run under the tracer too.
 ARGVS = {
     "seq": ["seq", "--kind", "lucas-balancing", "--to", "6"],
     "conv": ["conv", "--kind", "v", "--a", "1", "--b", "2", "--r", "3", "--n", "9", "--binomial"],
