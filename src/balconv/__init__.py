@@ -16,7 +16,6 @@ from __future__ import annotations
 from .identities import (
     CATALOG,
     Failure,
-    IdentityId,
     VerificationReport,
     binom_conv_u,
     conv_power,
@@ -36,7 +35,6 @@ __all__ = [
     "CATALOG",
     "FIBONACCI",
     "Failure",
-    "IdentityId",
     "SeqParams",
     "VerificationReport",
     "balancing",

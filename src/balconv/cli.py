@@ -6,7 +6,8 @@ report mismatches), ``series-check`` (the power-expansion lemma), ``table``
 (side-by-side LHS/RHS columns).
 
 Exit codes: 0 success / all checks pass, 1 a mismatching row in ``verify`` or
-``table`` (output still emitted; a side that is not an integer mismatches), 2
+``table`` (output still emitted; a side that is not an integer mismatches) or
+a failed lemma check in ``series-check`` (its FAIL line still emitted), 2
 usage or domain error, an exact division that leaves a remainder in ``closed``
 or ``conv`` (which compare nothing), an unwritable ``--output``, or a run out
 of memory.  No table recurses, so a large r or n never overflows the stack.
@@ -21,13 +22,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .combinatorics import IntegralityError, exact_div, unlimited_int_digits
 from .identities import (
     CATALOG,
-    IdentityId,
     binom_conv_c,  # no caller here, but perfbench/tracer.py wraps it by this name
     binom_conv_u,
     binom_conv_v,
@@ -96,7 +95,8 @@ def _write(
     if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.write(text)
 
 
 def _kind_spec(args: argparse.Namespace) -> tuple[SeqParams, str, int]:
@@ -114,15 +114,13 @@ def _params_dict(params: SeqParams) -> dict:
     return {"a": str(params.a), "b": str(params.b)}
 
 
-def _identity_args(args: argparse.Namespace) -> tuple[IdentityId, SeqParams, int]:
-    identity = IdentityId(args.identity)
+def _identity_args(args: argparse.Namespace) -> tuple[SeqParams, int]:
     params = None
     if args.a is not None or args.b is not None:
         if args.a is None or args.b is None:
             raise ValueError("--a and --b must be given together")
         params = SeqParams(args.a, args.b)
-    params, r = resolve_identity_args(identity, params, args.r)
-    return identity, params, r
+    return resolve_identity_args(args.identity, params, args.r)
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +176,15 @@ def _cmd_conv(args: argparse.Namespace) -> int:
 
 
 def _cmd_closed(args: argparse.Namespace) -> int:
-    identity, params, r = _identity_args(args)
-    clamp_to_domain(identity, r, args.n, args.n)
-    value = CATALOG[identity].rhs(params, r, args.n)
+    params, r = _identity_args(args)
+    clamp_to_domain(args.identity, r, args.n, args.n)
+    value = CATALOG[args.identity].rhs(params, r, args.n)
     _write(
         args,
-        [("identity", "r", "n", "value"), (identity.value, r, args.n, value)],
+        [("identity", "r", "n", "value"), (args.identity, r, args.n, value)],
         lambda: f"{value}\n",
         lambda: {
-            "identity": identity.value,
+            "identity": args.identity,
             "params": _params_dict(params),
             "r": str(r),
             "n": str(args.n),
@@ -197,14 +195,14 @@ def _cmd_closed(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    identity, params, r = _identity_args(args)
-    report = verify_identity(identity, (args.n_min, args.n_max), params, r)
+    params, r = _identity_args(args)
+    report = verify_identity(args.identity, (args.n_min, args.n_max), params, r)
     rows = [(f.n, f.lhs, f.rhs) for f in report.failures]
 
     def plain() -> str:
         status = "pass" if report.passed else "FAIL"
         head = (
-            f"identity={report.identity.value} params=({report.params.a},{report.params.b}) "
+            f"identity={report.identity} params=({report.params.a},{report.params.b}) "
             f"r={report.r} range=[{report.n_range[0]},{report.n_range[1]}] "
             f"checked={report.checked} failures={len(rows)} status={status}\n"
         )
@@ -237,16 +235,16 @@ def _cmd_series_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    identity, params, r = _identity_args(args)
-    lo, hi = clamp_to_domain(identity, r, args.n_min, args.n_max)
-    rows = list(evaluate_range(identity, params, r, lo, hi))
+    params, r = _identity_args(args)
+    lo, hi = clamp_to_domain(args.identity, r, args.n_min, args.n_max)
+    rows = list(evaluate_range(args.identity, params, r, lo, hi))
     header = ("n", "lhs", "rhs")
     _write(
         args,
         [header, *rows],
         lambda: _lines("\t", [header, *rows]),
         lambda: {
-            "identity": identity.value,
+            "identity": args.identity,
             "params": _params_dict(params),
             "r": str(r),
             "rows": [{"n": str(n), "lhs": value_to_json(lhs), "rhs": value_to_json(rhs)} for n, lhs, rhs in rows],
@@ -279,7 +277,7 @@ def _add_identity(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--identity",
         required=True,
-        choices=[i.value for i in IdentityId],
+        choices=list(CATALOG),
     )
     sub.add_argument("--r", type=int, default=None, help="fold count for variable-r identities")
     sub.add_argument("--a", type=int, default=None, help="recurrence coefficient a (general-u/v)")

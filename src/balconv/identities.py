@@ -19,7 +19,6 @@ a transcription diverges from the general formula.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations
@@ -49,7 +48,6 @@ from .series import (
 __all__ = [
     "CATALOG",
     "Failure",
-    "IdentityId",
     "IdentityInfo",
     "NotInteger",
     "VerificationReport",
@@ -512,27 +510,6 @@ def rhs_fib_pair_l(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class IdentityId(enum.Enum):
-    """Every verifiable identity in the catalog, keyed by its CLI name."""
-
-    PAIR_TELESCOPE = "pair-telescope"
-    TRIPLE_ALT = "triple-alt"
-    GENERAL_ALT = "general-alt"
-    COR_PRINTED_R4 = "cor-printed-r4"
-    COR_PRINTED_R5 = "cor-printed-r5"
-    COR_PRINTED_R6 = "cor-printed-r6"
-    PAIR_PLAIN = "pair-plain"
-    GENERAL_PLAIN = "general-plain"
-    BINOM_PAIR_B = "binom-pair-b"
-    BINOM_PAIR_C = "binom-pair-c"
-    MULTINOM_TRIPLE_B = "multinom-triple-b"
-    MULTINOM_TRIPLE_C = "multinom-triple-c"
-    GENERAL_U = "general-u"
-    GENERAL_V = "general-v"
-    FIB_PAIR_F = "fib-pair-f"
-    FIB_PAIR_L = "fib-pair-l"
-
-
 Side = Callable[[SeqParams, int, int], int]
 
 
@@ -590,70 +567,79 @@ _ALTERNATING_LHS = _of_r_n(alt_weighted_conv)
 _PRINTED_RHS = _of_r_n(rhs_printed_corollary)
 _BINOM_C_LHS = _of_r_n(binom_conv_c)
 
+#: Each identity under its CLI name, in the order ``--identity`` lists them.
 #: Rows are IdentityInfo(params, r, n_min, lhs, rhs[, min_r]).
-CATALOG: dict[IdentityId, IdentityInfo] = {
-    IdentityId.PAIR_TELESCOPE: IdentityInfo(
+CATALOG: dict[str, IdentityInfo] = {
+    "pair-telescope": IdentityInfo(
         BALANCING, 2, _telescope_n_min, _of_n(pair_telescope_sum), _of_n(rhs_pair_telescope)
     ),
-    IdentityId.TRIPLE_ALT: IdentityInfo(
+    "triple-alt": IdentityInfo(
         BALANCING, 3, _alternating_n_min, _ALTERNATING_LHS, _of_n(rhs_triple_alt)
     ),
-    IdentityId.GENERAL_ALT: IdentityInfo(
+    "general-alt": IdentityInfo(
         BALANCING, None, _alternating_n_min, _ALTERNATING_LHS, _of_r_n(rhs_general_alt), min_r=2
     ),
-    IdentityId.COR_PRINTED_R4: IdentityInfo(
+    "cor-printed-r4": IdentityInfo(
         BALANCING, 4, _alternating_n_min, _ALTERNATING_LHS, _PRINTED_RHS
     ),
-    IdentityId.COR_PRINTED_R5: IdentityInfo(
+    "cor-printed-r5": IdentityInfo(
         BALANCING, 5, _alternating_n_min, _ALTERNATING_LHS, _PRINTED_RHS
     ),
-    IdentityId.COR_PRINTED_R6: IdentityInfo(
+    "cor-printed-r6": IdentityInfo(
         BALANCING, 6, _alternating_n_min, _ALTERNATING_LHS, _PRINTED_RHS
     ),
-    IdentityId.PAIR_PLAIN: IdentityInfo(
+    "pair-plain": IdentityInfo(
         BALANCING, 2, _plain_n_min, _of_n(pair_plain_sum), _of_n(rhs_pair_plain)
     ),
-    IdentityId.GENERAL_PLAIN: IdentityInfo(
+    "general-plain": IdentityInfo(
         BALANCING, None, _plain_n_min, conv_power, _of_r_n(rhs_general_plain), min_r=2
     ),
-    IdentityId.BINOM_PAIR_B: IdentityInfo(
+    "binom-pair-b": IdentityInfo(
         BALANCING, 2, _binomial_n_min, binom_conv_u, _of_n(rhs_binom_pair_b)
     ),
-    IdentityId.BINOM_PAIR_C: IdentityInfo(
+    "binom-pair-c": IdentityInfo(
         BALANCING, 2, _binomial_n_min, _BINOM_C_LHS, _of_n(rhs_binom_pair_c)
     ),
-    IdentityId.MULTINOM_TRIPLE_B: IdentityInfo(
+    "multinom-triple-b": IdentityInfo(
         BALANCING, 3, _binomial_n_min, binom_conv_u, _of_n(rhs_multinom_triple_b)
     ),
-    IdentityId.MULTINOM_TRIPLE_C: IdentityInfo(
+    "multinom-triple-c": IdentityInfo(
         BALANCING, 3, _binomial_n_min, _BINOM_C_LHS, _of_n(rhs_multinom_triple_c)
     ),
-    IdentityId.GENERAL_U: IdentityInfo(
+    "general-u": IdentityInfo(
         None, None, _binomial_n_min, binom_conv_u, rhs_multinom_u
     ),
-    IdentityId.GENERAL_V: IdentityInfo(
+    "general-v": IdentityInfo(
         None, None, _binomial_n_min, binom_conv_v, rhs_multinom_v
     ),
-    IdentityId.FIB_PAIR_F: IdentityInfo(
+    "fib-pair-f": IdentityInfo(
         FIBONACCI, 2, _binomial_n_min, binom_conv_u, _of_n(rhs_fib_pair_f)
     ),
-    IdentityId.FIB_PAIR_L: IdentityInfo(
+    "fib-pair-l": IdentityInfo(
         FIBONACCI, 2, _binomial_n_min, binom_conv_v, _of_n(rhs_fib_pair_l)
     ),
 }
 
 
+def _info(identity: str) -> IdentityInfo:
+    """The catalog row of ``identity``; a name the catalog lacks is a ValueError."""
+    try:
+        return CATALOG[identity]
+    except KeyError:
+        raise ValueError(f"unknown identity {identity!r}") from None
+
+
 def resolve_identity_args(
-    identity: IdentityId,
+    identity: str,
     params: SeqParams | None = None,
     r: int | None = None,
 ) -> tuple[SeqParams, int]:
     """Fill in defaults and reject arguments an identity does not admit."""
-    info = CATALOG[identity]
+    info = _info(identity)
     if info.params is not None:
         if params is not None and params != info.params:
             raise ValueError(
-                f"{identity.value} is defined only for (a, b) = "
+                f"{identity} is defined only for (a, b) = "
                 f"({info.params.a}, {info.params.b})"
             )
         params = info.params
@@ -661,13 +647,13 @@ def resolve_identity_args(
         params = BALANCING
     if info.r is not None:
         if r is not None and r != info.r:
-            raise ValueError(f"{identity.value} has fixed r = {info.r}, got {r}")
+            raise ValueError(f"{identity} has fixed r = {info.r}, got {r}")
         r = info.r
     else:
         if r is None:
-            raise ValueError(f"{identity.value} requires r")
+            raise ValueError(f"{identity} requires r")
         if r < info.min_r:
-            raise ValueError(f"{identity.value} requires r >= {info.min_r}, got {r}")
+            raise ValueError(f"{identity} requires r >= {info.min_r}, got {r}")
     return params, r
 
 
@@ -697,7 +683,7 @@ class Failure(NamedTuple):
 class VerificationReport(NamedTuple):
     """Outcome of sweeping one identity over a range of n."""
 
-    identity: IdentityId
+    identity: str
     params: SeqParams
     r: int
     n_range: tuple[int, int]
@@ -709,13 +695,13 @@ class VerificationReport(NamedTuple):
         return not self.failures
 
 
-def clamp_to_domain(identity: IdentityId, r: int, lo: int | None, hi: int) -> tuple[int, int]:
+def clamp_to_domain(identity: str, r: int, lo: int | None, hi: int) -> tuple[int, int]:
     """The part of [lo, hi] inside the identity's domain n >= n_min(r).
 
     ``lo`` None starts at the domain minimum.  An empty range, or one that
     lies wholly below the domain, is an error.
     """
-    n_min = CATALOG[identity].n_min(r)
+    n_min = _info(identity).n_min(r)
     if lo is not None and lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
     if hi < n_min:
@@ -723,12 +709,12 @@ def clamp_to_domain(identity: IdentityId, r: int, lo: int | None, hi: int) -> tu
             asked = f"n <= {hi}"
         else:
             asked = f"n = {hi}" if lo == hi else f"range [{lo}, {hi}]"
-        raise ValueError(f"{asked} lies below the domain of {identity.value}: n >= {n_min}")
+        raise ValueError(f"{asked} lies below the domain of {identity}: n >= {n_min}")
     return (n_min if lo is None else max(lo, n_min)), hi
 
 
 def evaluate_range(
-    identity: IdentityId, params: SeqParams, r: int, lo: int, hi: int
+    identity: str, params: SeqParams, r: int, lo: int, hi: int
 ) -> Iterator[tuple[int, int | NotInteger, int | NotInteger]]:
     """Yield (n, oracle value, closed-form value) for n = lo..hi, in that order.
 
@@ -739,7 +725,7 @@ def evaluate_range(
     """
     if lo > hi:
         return
-    info = CATALOG[identity]
+    info = _info(identity)
 
     def value(side: Side, n: int) -> int | NotInteger:
         try:
@@ -754,7 +740,7 @@ def evaluate_range(
 
 
 def verify_identity(
-    identity: IdentityId,
+    identity: str,
     n_range: tuple[int | None, int],
     params: SeqParams | None = None,
     r: int | None = None,
@@ -790,7 +776,7 @@ def _value_from_json(data: str | dict) -> int | NotInteger:
 def report_to_dict(report: VerificationReport) -> dict:
     """Serialize with every integer as a decimal string (values outgrow 64 bits)."""
     return {
-        "identity": report.identity.value,
+        "identity": report.identity,
         "params": {"a": str(report.params.a), "b": str(report.params.b)},
         "r": str(report.r),
         "range": [str(report.n_range[0]), str(report.n_range[1])],
@@ -803,9 +789,10 @@ def report_to_dict(report: VerificationReport) -> dict:
 
 @unlimited_int_digits()
 def report_from_dict(data: dict) -> VerificationReport:
-    """Inverse of :func:`report_to_dict`."""
+    """Inverse of :func:`report_to_dict`; an identity the catalog lacks is a ValueError."""
+    _info(data["identity"])
     return VerificationReport(
-        identity=IdentityId(data["identity"]),
+        identity=data["identity"],
         params=SeqParams(int(data["params"]["a"]), int(data["params"]["b"])),
         r=int(data["r"]),
         n_range=(int(data["range"][0]), int(data["range"][1])),

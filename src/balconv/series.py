@@ -54,9 +54,6 @@ class Series:
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self._coeffs[:8])
         tail = ", ..." if self.order >= 8 else ""

@@ -13,7 +13,6 @@ from fractions import Fraction
 from balconv.cli import run
 from balconv.combinatorics import IntegralityError
 from balconv.identities import (
-    IdentityId,
     alt_weighted_conv,
     conv_power,
     conv_power_by_enumeration,
@@ -53,7 +52,7 @@ def _criterion(num, label, limit_s, body):
 
 def test_criterion_1_pair_telescope():
     def body():
-        report = verify_identity(IdentityId.PAIR_TELESCOPE, (1, 500))
+        report = verify_identity("pair-telescope", (1, 500))
         assert report.passed and report.checked == 500
 
     _criterion(1, "telescoping pair identity, 1 <= n <= 500, exact", 5.0, body)
@@ -61,7 +60,7 @@ def test_criterion_1_pair_telescope():
 
 def test_criterion_2_triple_alternating():
     def body():
-        report = verify_identity(IdentityId.TRIPLE_ALT, (4, 300))
+        report = verify_identity("triple-alt", (4, 300))
         assert report.passed and report.checked == 297
 
     _criterion(2, "alternating triple identity, 4 <= n <= 300, exact", 10.0, body)
@@ -70,7 +69,7 @@ def test_criterion_2_triple_alternating():
 def test_criterion_3_general_alternating():
     def body():
         for r in range(2, 9):
-            report = verify_identity(IdentityId.GENERAL_ALT, (3 * r - 5, 200), r=r)
+            report = verify_identity("general-alt", (3 * r - 5, 200), r=r)
             assert report.passed, r
         for n in range(1, 201):
             assert rhs_general_alt(2, n) == (n - 1) * balancing(n - 1)
@@ -82,14 +81,14 @@ def test_criterion_3_general_alternating():
 
 def test_criterion_4_printed_corollaries():
     def body():
-        assert verify_identity(IdentityId.COR_PRINTED_R4, (7, 200)).passed
-        assert verify_identity(IdentityId.COR_PRINTED_R6, (13, 200)).passed
+        assert verify_identity("cor-printed-r4", (7, 200)).passed
+        assert verify_identity("cor-printed-r6", (13, 200)).passed
         for n in range(7, 201):
             assert rhs_printed_corollary(4, n) == rhs_general_alt(4, n)
         for n in range(13, 201):
             assert rhs_printed_corollary(6, n) == rhs_general_alt(6, n)
         # r = 5: transcription diverges exactly where its suspect term is nonzero
-        report = verify_identity(IdentityId.COR_PRINTED_R5, (10, 200))
+        report = verify_identity("cor-printed-r5", (10, 200))
         suspect = lambda n: Fraction((n - 5) * (n - 8) * (n - 10) * (n - 11), 8)
         expected = [n for n in range(10, 201) if suspect(n) * balancing(n - 8) != 0]
         assert expected == list(range(12, 201))
@@ -104,20 +103,20 @@ def test_criterion_4_printed_corollaries():
 
 def test_criterion_5_plain_convolutions():
     def body():
-        report = verify_identity(IdentityId.PAIR_PLAIN, (2, 500))
+        report = verify_identity("pair-plain", (2, 500))
         assert report.passed and report.checked == 499
         for r in range(2, 9):
-            assert verify_identity(IdentityId.GENERAL_PLAIN, (r, 200), r=r).passed, r
+            assert verify_identity("general-plain", (r, 200), r=r).passed, r
 
     _criterion(5, "plain pair identity n <= 500; general plain r in 2..8, n <= 200", 60.0, body)
 
 
 def test_criterion_6_binomial_pair_and_triple():
     def body():
-        assert verify_identity(IdentityId.BINOM_PAIR_B, (0, 300)).passed
-        assert verify_identity(IdentityId.BINOM_PAIR_C, (0, 300)).passed
-        assert verify_identity(IdentityId.MULTINOM_TRIPLE_B, (0, 200)).passed
-        assert verify_identity(IdentityId.MULTINOM_TRIPLE_C, (0, 200)).passed
+        assert verify_identity("binom-pair-b", (0, 300)).passed
+        assert verify_identity("binom-pair-c", (0, 300)).passed
+        assert verify_identity("multinom-triple-b", (0, 200)).passed
+        assert verify_identity("multinom-triple-c", (0, 200)).passed
 
     _criterion(6, "binomial pair identities n <= 300; triple products n <= 200", None, body)
 
@@ -126,10 +125,10 @@ def test_criterion_7_general_multinomial_family():
     def body():
         for params in PARAM_GRID:
             for r in range(1, 8):
-                assert verify_identity(IdentityId.GENERAL_U, (0, 100), params=params, r=r).passed
-                assert verify_identity(IdentityId.GENERAL_V, (0, 100), params=params, r=r).passed
-        assert verify_identity(IdentityId.FIB_PAIR_F, (0, 300)).passed
-        assert verify_identity(IdentityId.FIB_PAIR_L, (0, 300)).passed
+                assert verify_identity("general-u", (0, 100), params=params, r=r).passed
+                assert verify_identity("general-v", (0, 100), params=params, r=r).passed
+        assert verify_identity("fib-pair-f", (0, 300)).passed
+        assert verify_identity("fib-pair-l", (0, 300)).passed
 
     _criterion(
         7,
@@ -208,7 +207,7 @@ def test_criterion_10_cli_contract():
         assert code == 0
         assert _invoke(json_argv) == (code, out, "")
         report = report_from_dict(json.loads(out))
-        assert report == verify_identity(IdentityId.GENERAL_ALT, (7, 100), r=4)
+        assert report == verify_identity("general-alt", (7, 100), r=4)
 
         fail_argv = ["verify", "--identity", "cor-printed-r5", "--n-max", "50"]
         code, out, _ = _invoke(fail_argv)

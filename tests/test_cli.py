@@ -16,7 +16,6 @@ from balconv.cli import run
 from balconv.combinatorics import exact_div, unlimited_int_digits
 from balconv.identities import (
     CATALOG,
-    IdentityId,
     binom_conv_c,
     binom_conv_u,
     binom_conv_v,
@@ -96,7 +95,7 @@ def test_json_report_round_trip():
     argv = ["verify", "--identity", "cor-printed-r5", "--n-max", "30", "--format", "json"]
     _, out, _ = invoke(argv)
     report = report_from_dict(json.loads(out))
-    assert report == verify_identity(IdentityId.COR_PRINTED_R5, (10, 30))
+    assert report == verify_identity("cor-printed-r5", (10, 30))
 
 
 def test_json_integers_are_decimal_strings():
@@ -213,12 +212,12 @@ def test_table_command():
 def test_a_closed_form_that_is_not_an_integer_is_a_mismatch(monkeypatch):
     # cor-printed-r6's closed form, multiplied back by its lcm 60 and given a remainder of
     # 39 at n = 20 before the exact division: a slip that leaves it no integer at one n
-    info = CATALOG[IdentityId.COR_PRINTED_R6]
+    info = CATALOG["cor-printed-r6"]
 
     def slipped(params, r, n):
         return exact_div(60 * info.rhs(params, r, n) + 39 * (n == 20), 60)
 
-    monkeypatch.setitem(CATALOG, IdentityId.COR_PRINTED_R6, dataclasses.replace(info, rhs=slipped))
+    monkeypatch.setitem(CATALOG, "cor-printed-r6", dataclasses.replace(info, rhs=slipped))
     lhs = info.lhs(BALANCING, 6, 20)
     text = "not an integer (division by 60 leaves a remainder of 39)"
     argv = ["--identity", "cor-printed-r6", "--n-min", "18", "--n-max", "22", "--format"]
@@ -271,6 +270,17 @@ def test_series_check_order_below_power_bound_exits_2():
     assert err == "error: verify_power_expansion: order must be >= r - 1 = 2, got 0\n"
 
 
+def test_series_check_that_fails_exits_1_and_still_writes_its_result(monkeypatch):
+    monkeypatch.setattr(cli, "verify_ogf_square_relation", lambda order: False)
+    monkeypatch.setattr(cli, "verify_power_expansion", lambda r, order: False)
+    assert invoke(["series-check", "--order", "40"]) == (1, "ogf-square order=40: FAIL\n", "")
+    code, out, err = invoke(["series-check", "--order", "40", "--r", "3", "--format", "csv"])
+    assert (code, out, err) == (1, "check,r,order,passed\npower-expansion,3,40,false\n", "")
+    code, out, err = invoke(["series-check", "--order", "40", "--format", "json"])
+    assert (code, err) == (1, "") and '"passed": false' in out
+    assert json.loads(out) == {"check": "ogf-square", "r": None, "order": "40", "passed": False}
+
+
 def test_verify_csv_lists_failures():
     code, out, _ = invoke(["verify", "--identity", "cor-printed-r5", "--n-max", "14", "--format", "csv"])
     assert code == 1
@@ -320,8 +330,15 @@ def test_unknown_flag_exits_2():
 
 
 def test_unknown_identity_exits_2():
-    code, _, _ = invoke(["verify", "--identity", "not-a-thing", "--n-max", "5"])
-    assert code == 2
+    # the last stderr line lists the catalog's names, in catalog order
+    code, out, err = invoke(["verify", "--identity", "not-a-thing", "--n-max", "5"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "balconv verify: error: argument --identity: invalid choice: 'not-a-thing' (choose from "
+        "'pair-telescope', 'triple-alt', 'general-alt', 'cor-printed-r4', 'cor-printed-r5', "
+        "'cor-printed-r6', 'pair-plain', 'general-plain', 'binom-pair-b', 'binom-pair-c', "
+        "'multinom-triple-b', 'multinom-triple-c', 'general-u', 'general-v', 'fib-pair-f', 'fib-pair-l')"
+    )
 
 
 def test_missing_r_exits_2():
@@ -337,7 +354,7 @@ def test_out_of_domain_n_exits_2():
 @pytest.mark.parametrize(
     "identity, r",
     [
-        pytest.param(identity, r, id=f"{identity.value} r={r}")
+        pytest.param(identity, r, id=f"{identity} r={r}")
         for identity, info in CATALOG.items()
         for r in ((info.r,) if info.r is not None else range(info.min_r, info.min_r + 3))
     ],
@@ -346,13 +363,13 @@ def test_closed_honours_each_identity_domain(identity, r):
     info = CATALOG[identity]
     params, r = resolve_identity_args(identity, None, r)
     n_min = info.n_min(r)
-    argv = ["closed", "--identity", identity.value, "--r", str(r), "--n"]
+    argv = ["closed", "--identity", identity, "--r", str(r), "--n"]
     assert invoke([*argv, str(n_min)]) == (0, f"{info.rhs(params, r, n_min)}\n", "")
     if n_min >= 1:
         code, out, err = invoke([*argv, str(n_min - 1)])
         assert (code, out) == (2, "")
         assert err.startswith(f"error: n = {n_min - 1} lies below the domain of ")
-        assert err.endswith(f"{identity.value}: n >= {n_min}\n")
+        assert err.endswith(f"{identity}: n >= {n_min}\n")
         with pytest.raises(ValueError):  # the closed form's own guard draws the same line
             info.rhs(params, r, n_min - 1)
 
@@ -410,8 +427,8 @@ def test_memory_error_exits_2_without_a_traceback(monkeypatch):
     assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
-def _run_child(script, *args, **kwargs):
-    """Run ``python -c script *args`` in a fresh interpreter with this tree's src first on its path.
+def _run_child(script, *args, flags=(), **kwargs):
+    """Run ``python *flags -c script *args`` in a fresh interpreter with this tree's src first on its path.
 
     The timeout sits below the per-test deadline of ``conftest.py``, so a hung child is
     killed and fails its test instead of outliving the run."""
@@ -419,7 +436,7 @@ def _run_child(script, *args, **kwargs):
     old = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + old if old else "")}
     return subprocess.run(
-        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=100, **kwargs
+        [sys.executable, *flags, "-c", script, *args], env=env, capture_output=True, text=True, timeout=100, **kwargs
     )
 
 
@@ -481,21 +498,22 @@ def test_binomial_conv_of_large_r_needs_no_recursion():
 
 
 def test_cli_imports_only_the_standard_library_and_no_fractions():
-    # compare what importing the CLI adds, not all of sys.modules: site may load .pth modules;
-    # every run pays for its imports at start-up, so json (only --format json needs it),
-    # decimal and fractions stay out
+    # compare what importing the CLI adds, not all of sys.modules: site may load .pth modules,
+    # so the child also runs under -S, where site loads nothing; every run pays for its imports
+    # at start-up, so json (only --format json needs it), decimal, fractions and pathlib stay out
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import balconv.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    proc = _run_child(script)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    added = set(proc.stdout.split())
-    assert "balconv.cli" in added
-    assert not added & {"json", "decimal", "fractions"}
-    assert {name.partition(".")[0] for name in added} - {"balconv"} <= sys.stdlib_module_names
+    for flags in ((), ("-S",)):
+        proc = _run_child(script, flags=flags)
+        assert (proc.returncode, proc.stderr) == (0, ""), flags
+        added = set(proc.stdout.split())
+        assert "balconv.cli" in added, flags
+        assert not added & {"json", "decimal", "fractions", "pathlib"}, flags
+        assert {name.partition(".")[0] for name in added} - {"balconv"} <= sys.stdlib_module_names, flags
 
 
 def test_help_exits_0():

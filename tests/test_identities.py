@@ -22,7 +22,6 @@ from balconv.combinatorics import IntegralityError, binom, exact_div
 from balconv.identities import (
     CATALOG,
     Failure,
-    IdentityId,
     IdentityInfo,
     NotInteger,
     VerificationReport,
@@ -854,8 +853,8 @@ def _row_args(identity, r=3):
 
 #: Row -> (identity, r where it leaves r free): every catalog row, plus general-u/v at r = 1,
 #: where both routes give w_n, the fold by one step of M and the closed form from its table.
-_ROWS = {identity.value: (identity, 3) for identity in IdentityId} | {
-    f"{identity.value} r=1": (identity, 1) for identity in (IdentityId.GENERAL_U, IdentityId.GENERAL_V)
+_ROWS = {identity: (identity, 3) for identity in CATALOG} | {
+    f"{identity} r=1": (identity, 1) for identity in ("general-u", "general-v")
 }
 
 
@@ -899,7 +898,7 @@ def test_every_catalog_side_carries_its_function_name():
             fn = getattr(side, "__wrapped__", side)
             assert getattr(identities, fn.__name__) is fn, identity
             assert (side.__name__, side.__qualname__) == (fn.__name__, fn.__qualname__), identity
-    side = CATALOG[IdentityId.GENERAL_ALT].rhs
+    side = CATALOG["general-alt"].rhs
     assert (side.__name__, side.__wrapped__) == ("rhs_general_alt", rhs_general_alt)
     assert side(BALANCING, 3, 10) == rhs_general_alt(3, 10)
 
@@ -921,7 +920,7 @@ def test_every_record_replays_in_a_bounded_window(monkeypatch):
     monkeypatch.setattr(sequences, "grow", spy)
     monkeypatch.setattr(identities, "grow", spy)
     clear_caches()
-    for identity in IdentityId:
+    for identity in CATALOG:
         verify_identity(identity, (None, 40), *_row_args(identity))
     kinds = {key if isinstance(key, str) else key[0] if isinstance(key[0], str) else "terms"
              for key, _, _ in records}
@@ -1097,7 +1096,7 @@ def test_printed_balancing_even_form_rejects_odd_r():
 
 
 def test_verify_pass_report():
-    report = verify_identity(IdentityId.PAIR_TELESCOPE, (1, 100))
+    report = verify_identity("pair-telescope", (1, 100))
     assert report.passed
     assert report.checked == 100
     assert report.n_range == (1, 100)
@@ -1107,19 +1106,19 @@ def test_verify_pass_report():
 
 
 def test_verify_general_alt():
-    report = verify_identity(IdentityId.GENERAL_ALT, (7, 100), r=4)
+    report = verify_identity("general-alt", (7, 100), r=4)
     assert report.passed and report.checked == 94
 
 
 def test_verify_clamps_to_domain():
-    report = verify_identity(IdentityId.TRIPLE_ALT, (0, 20))
+    report = verify_identity("triple-alt", (0, 20))
     assert report.n_range == (4, 20)
     assert report.checked == 17
-    assert verify_identity(IdentityId.TRIPLE_ALT, (None, 20)) == report
+    assert verify_identity("triple-alt", (None, 20)) == report
 
 
 def test_verify_printed_r5_records_failures():
-    report = verify_identity(IdentityId.COR_PRINTED_R5, (10, 30))
+    report = verify_identity("cor-printed-r5", (10, 30))
     assert not report.passed
     assert [f.n for f in report.failures] == list(range(12, 31))
     # every witness re-evaluates to the recorded values
@@ -1130,22 +1129,22 @@ def test_verify_printed_r5_records_failures():
 
 
 def test_verify_general_u_params():
-    report = verify_identity(IdentityId.GENERAL_U, (0, 25), params=SeqParams(3, 2), r=4)
+    report = verify_identity("general-u", (0, 25), params=SeqParams(3, 2), r=4)
     assert report.passed
     assert report.params == SeqParams(3, 2)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from([IdentityId.GENERAL_U, IdentityId.GENERAL_V]),
+    st.sampled_from(["general-u", "general-v"]),
     st.integers(-9, 9),
     st.integers(-9, 9),
     st.integers(1, 5),
 )
-@example(IdentityId.GENERAL_U, -3, 2, 5)
-@example(IdentityId.GENERAL_V, 2, -5, 4)
-@example(IdentityId.GENERAL_U, 1, -1, 3)  # D = -3: a negative exact divisor
-@example(IdentityId.GENERAL_U, 2, -3, 2)  # D = -8
+@example("general-u", -3, 2, 5)
+@example("general-v", 2, -5, 4)
+@example("general-u", 1, -1, 3)  # D = -3: a negative exact divisor
+@example("general-u", 2, -3, 2)  # D = -8
 def test_verify_general_u_v_random_params(identity, a, b, r):
     assume(a * a + 4 * b != 0)
     report = verify_identity(identity, (0, 15), params=SeqParams(a, b), r=r)
@@ -1154,34 +1153,34 @@ def test_verify_general_u_v_random_params(identity, a, b, r):
 
 def test_verify_usage_errors():
     with pytest.raises(ValueError):
-        verify_identity(IdentityId.PAIR_TELESCOPE, (1, 10), params=FIBONACCI)
+        verify_identity("pair-telescope", (1, 10), params=FIBONACCI)
     with pytest.raises(ValueError):
-        verify_identity(IdentityId.GENERAL_ALT, (7, 10))  # r missing
+        verify_identity("general-alt", (7, 10))  # r missing
     with pytest.raises(ValueError):
-        verify_identity(IdentityId.GENERAL_ALT, (7, 10), r=1)
+        verify_identity("general-alt", (7, 10), r=1)
     with pytest.raises(ValueError):
-        verify_identity(IdentityId.TRIPLE_ALT, (10, 5))  # empty range
+        verify_identity("triple-alt", (10, 5))  # empty range
     with pytest.raises(ValueError):
-        verify_identity(IdentityId.TRIPLE_ALT, (0, 3))  # below domain entirely
+        verify_identity("triple-alt", (0, 3))  # below domain entirely
     with pytest.raises(ValueError):
-        verify_identity(IdentityId.TRIPLE_ALT, (4, 10), r=5)  # fixed r mismatch
+        verify_identity("triple-alt", (4, 10), r=5)  # fixed r mismatch
 
 
 def test_resolve_identity_args_defaults():
-    assert resolve_identity_args(IdentityId.GENERAL_U, None, 3) == (BALANCING, 3)
-    assert resolve_identity_args(IdentityId.FIB_PAIR_F) == (FIBONACCI, 2)
-    info = CATALOG[IdentityId.GENERAL_ALT]
+    assert resolve_identity_args("general-u", None, 3) == (BALANCING, 3)
+    assert resolve_identity_args("fib-pair-f") == (FIBONACCI, 2)
+    info = CATALOG["general-alt"]
     assert info.n_min(4) == 7 and info.n_min(2) == 1
 
 
 def test_report_round_trip():
     for report in (
-        verify_identity(IdentityId.GENERAL_ALT, (7, 40), r=4),
-        verify_identity(IdentityId.COR_PRINTED_R5, (10, 25)),
-        verify_identity(IdentityId.GENERAL_V, (0, 12), params=SeqParams(1, 2), r=3),
+        verify_identity("general-alt", (7, 40), r=4),
+        verify_identity("cor-printed-r5", (10, 25)),
+        verify_identity("general-v", (0, 12), params=SeqParams(1, 2), r=3),
         # a witness past CPython's default 4300-digit int/str limit (B_6000 has ~4600)
         VerificationReport(
-            IdentityId.PAIR_PLAIN, BALANCING, 2, (6000, 6000), 1,
+            "pair-plain", BALANCING, 2, (6000, 6000), 1,
             (Failure(6000, balancing(6000), balancing(6000) + 1),),
         ),
     ):
@@ -1190,14 +1189,24 @@ def test_report_round_trip():
         assert report_from_dict(data) == report
 
 
+def test_a_name_outside_the_catalog_is_a_value_error():
+    with pytest.raises(ValueError, match="^unknown identity 'bogus'$"):
+        verify_identity("bogus", (0, 1))
+    with pytest.raises(ValueError, match="^unknown identity 'bogus'$"):
+        resolve_identity_args("bogus")
+    data = report_to_dict(verify_identity("pair-telescope", (1, 3))) | {"identity": "bogus"}
+    with pytest.raises(ValueError, match="^unknown identity 'bogus'$"):
+        report_from_dict(data)
+
+
 def test_a_side_that_is_not_an_integer_fails_even_against_the_same(monkeypatch):
     # both sides leave the same remainder at every n: equal records, but no integer, so no match
     def inexact(params, r, n):
         return exact_div(2 * n + 1, 2)
 
-    info = CATALOG[IdentityId.PAIR_PLAIN]
-    monkeypatch.setitem(CATALOG, IdentityId.PAIR_PLAIN, dataclasses.replace(info, lhs=inexact, rhs=inexact))
-    report = verify_identity(IdentityId.PAIR_PLAIN, (2, 4))
+    info = CATALOG["pair-plain"]
+    monkeypatch.setitem(CATALOG, "pair-plain", dataclasses.replace(info, lhs=inexact, rhs=inexact))
+    report = verify_identity("pair-plain", (2, 4))
     assert report.failures == tuple(Failure(n, NotInteger(2, 1), NotInteger(2, 1)) for n in (2, 3, 4))
     assert report_to_dict(report)["failures"][0]["lhs"] == {"divisor": "2", "remainder": "1"}
     assert report_from_dict(report_to_dict(report)) == report
@@ -1255,10 +1264,10 @@ def test_value_records_are_tuples_and_identity_info_the_only_dataclass():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "dataclasses" not in imported
-    report = verify_identity(IdentityId.COR_PRINTED_R5, (10, 14))
+    report = verify_identity("cor-printed-r5", (10, 14))
     assert isinstance(report, tuple) and isinstance(report.failures[0], tuple)
     assert isinstance(VerificationReport.passed, property) and not report.passed
-    assert hash(report) == hash(verify_identity(IdentityId.COR_PRINTED_R5, (10, 14)))
+    assert hash(report) == hash(verify_identity("cor-printed-r5", (10, 14)))
     with pytest.raises(AttributeError):
         report.checked = 0
     with pytest.raises(AttributeError):
@@ -1288,12 +1297,12 @@ def test_a_sweep_grows_each_table_once(monkeypatch):
     # keys: the u fold, which reads no term list, and the closed form's two derived v pairs
     clear_caches()
     calls = _count_growths(monkeypatch)
-    report = verify_identity(IdentityId.GENERAL_U, (0, 250), SeqParams(2, 3), 4)
+    report = verify_identity("general-u", (0, 250), SeqParams(2, 3), 4)
     assert report.passed and report.checked == 251
     assert len(calls) == len(set(calls)) == len(sequences._tables) == 3
 
 
-@pytest.mark.parametrize("identity", IdentityId, ids=lambda identity: identity.value)
+@pytest.mark.parametrize("identity", CATALOG)
 def test_no_sweep_grows_a_table_per_n(identity, monkeypatch):
     # once per key: no oracle's make reads a term list short of the top, so no list grows
     # part way before a closed form of the same sweep grows it to the top
