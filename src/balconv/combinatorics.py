@@ -16,6 +16,7 @@ __all__ = [
     "IntegralityError",
     "binom",
     "exact_div",
+    "unlimited_int_digits",
 ]
 
 

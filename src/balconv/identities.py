@@ -11,8 +11,9 @@ does so with :func:`exact_div`, which raises on a remainder.
 :func:`verify_identity` sweeps a range of n and reports every mismatch with an
 exact witness; a side that raised there is recorded as :class:`NotInteger`.
 
-Closed forms reject n below their validity bound instead of extrapolating;
-the oracles are total.  The ``printed`` evaluator transcribes the per-r
+Each side's first statement checks its :class:`Domain` record, which its catalog rows read
+too: closed forms reject n below their validity bound instead of extrapolating; the oracles
+are total on n >= 0.  The ``printed`` evaluator transcribes the per-r
 corollary forms verbatim, typos included, so sweeps can measure exactly where
 a transcription diverges from the general formula.
 """
@@ -47,6 +48,7 @@ from .series import (
 
 __all__ = [
     "CATALOG",
+    "Domain",
     "Failure",
     "IdentityInfo",
     "NotInteger",
@@ -92,6 +94,28 @@ def clear_caches() -> None:
     sequences._tables.clear()
 
 
+class Domain(NamedTuple):
+    """Where a side is defined: r >= ``min_r`` and n >= ``n_min(r)``."""
+
+    min_r: int
+    n_min: Callable[[int], int]
+
+    def check(self, name: str, r: int, n: int) -> None:
+        """Raise a ValueError that names ``name`` unless (r, n) lies in the domain; r first."""
+        if r < self.min_r:
+            raise ValueError(f"{name}: r must be >= {self.min_r}, got {r}")
+        if n < self.n_min(r):
+            raise ValueError(f"{name}: n must be >= {self.n_min(r)}, got {n}")
+
+
+# Each domain rule, stated once; the sides and the catalog rows read these records.
+_ALTERNATING = Domain(2, lambda r: 3 * r - 5)
+_PLAIN = Domain(2, lambda r: r)
+_TELESCOPE = Domain(1, lambda r: 1)
+_BINOMIAL = Domain(1, lambda r: 0)  # also every oracle but alt_weighted_conv
+_ALT_WEIGHTED = Domain(2, lambda r: 0)
+
+
 # ---------------------------------------------------------------------------
 # Oracles (plain convolutions)
 # ---------------------------------------------------------------------------
@@ -113,10 +137,7 @@ def conv_power(params: SeqParams, r: int, n: int) -> int:
     params, r) table, made once per process; its record (:func:`sequences.grow`) is the seed
     g_0..g_r = 0, ..., 0, 1 and P^r as the weights -p_1, ..., -p_{2r}, fetched while it grows.
     """
-    if r < 1:
-        raise ValueError(f"conv_power: r must be >= 1, got {r}")
-    if n < 0:
-        raise ValueError(f"conv_power: n must be nonnegative, got {n}")
+    _BINOMIAL.check("conv_power", r, n)
     if n < r:
         return 0
 
@@ -132,10 +153,7 @@ def conv_power_by_enumeration(params: SeqParams, r: int, n: int) -> int:
     Exponentially slower than :func:`conv_power`; meant for cross-checking at
     small sizes only.
     """
-    if r < 1:
-        raise ValueError(f"conv_power_by_enumeration: r must be >= 1, got {r}")
-    if n < 0:
-        raise ValueError(f"conv_power_by_enumeration: n must be nonnegative, got {n}")
+    _BINOMIAL.check("conv_power_by_enumeration", r, n)
     if n < r:
         return 0
     total = 0
@@ -153,10 +171,7 @@ def alt_weighted_conv(r: int, n: int) -> int:
 
     where S_r is the plain r-fold convolution (zero for negative argument).
     """
-    if r < 2:
-        raise ValueError(f"alt_weighted_conv: r must be >= 2, got {r}")
-    if n < 0:
-        raise ValueError(f"alt_weighted_conv: n must be nonnegative, got {n}")
+    _ALT_WEIGHTED.check("alt_weighted_conv", r, n)
     total = 0
     for l in range(2 * r - 2):
         m = n - 2 * l
@@ -175,8 +190,7 @@ def pair_plain_sum(n: int) -> int:
     list, forcing k -> B_{k-1} read from the B list.  Each value costs O(1) big-int
     products and is made once per process.
     """
-    if n < 0:
-        raise ValueError(f"pair_plain_sum: n must be nonnegative, got {n}")
+    _BINOMIAL.check("pair_plain_sum", 2, n)
 
     def make():
         B = terms(BALANCING, "u", n)
@@ -191,8 +205,7 @@ def pair_telescope_sum(n: int) -> int:
     With B_0 = 0 the two sums are S_2(n+1) and S_2(n-1), the second read with i = j - 1;
     both come from the one S_2 list (:func:`pair_plain_sum`).
     """
-    if n < 0:
-        raise ValueError(f"pair_telescope_sum: n must be nonnegative, got {n}")
+    _BINOMIAL.check("pair_telescope_sum", 2, n)
     return pair_plain_sum(n + 1) - pair_plain_sum(n - 1) if n else 0
 
 
@@ -236,10 +249,7 @@ def _binom_conv(name: str, params: SeqParams, which: str, r: int, n: int) -> int
     only when n > r.  u and v differ only in (w_0, w_1) (:func:`initial_terms`), and no fold
     reads a term list, r = 1 included; a large r with a small n holds top + 1 values.
     """
-    if r < 1:
-        raise ValueError(f"{name}: r must be >= 1, got {r}")
-    if n < 0:
-        raise ValueError(f"{name}: n must be nonnegative, got {n}")
+    _BINOMIAL.check(name, r, n)
 
     def make():
         (a, b), (w0, w1), top = params, initial_terms(params, which), min(n, r)
@@ -289,10 +299,7 @@ def rhs_general_alt(r: int, n: int) -> int:
 
     The sum is divided by r-1 with :func:`exact_div`.
     """
-    if r < 2:
-        raise ValueError(f"rhs_general_alt: r must be >= 2, got {r}")
-    if n < 3 * r - 5:
-        raise ValueError(f"rhs_general_alt: n must be >= 3r-5 = {3 * r - 5}, got {n}")
+    _ALTERNATING.check("rhs_general_alt", r, n)
     total = 0
     for k in range(1, r):
         term = (
@@ -307,8 +314,7 @@ def rhs_general_alt(r: int, n: int) -> int:
 
 def rhs_triple_alt(n: int) -> int:
     """Three-fold alternating closed form C(n-1,2) B_{n-2} - C(n-4,2) B_{n-4}, n >= 4."""
-    if n < 4:
-        raise ValueError(f"rhs_triple_alt: n must be >= 4, got {n}")
+    _ALTERNATING.check("rhs_triple_alt", 3, n)
     return binom(n - 1, 2) * balancing(n - 2) - binom(n - 4, 2) * balancing(n - 4)
 
 
@@ -323,8 +329,7 @@ def rhs_printed_corollary(r: int, n: int) -> int:
     """
     if r not in (4, 5, 6):
         raise ValueError(f"rhs_printed_corollary: transcribed forms exist for r in (4, 5, 6), got {r}")
-    if n < 3 * r - 5:
-        raise ValueError(f"rhs_printed_corollary: r = {r} requires n >= {3 * r - 5}, got {n}")
+    _ALTERNATING.check("rhs_printed_corollary", r, n)
     B = balancing
     if r == 4:
         scale = 3
@@ -355,8 +360,7 @@ def rhs_printed_corollary(r: int, n: int) -> int:
 
 def rhs_pair_telescope(n: int) -> int:
     """n B_n, the closed form of :func:`pair_telescope_sum`, valid for n >= 1."""
-    if n < 1:
-        raise ValueError(f"rhs_pair_telescope: n must be >= 1, got {n}")
+    _TELESCOPE.check("rhs_pair_telescope", 2, n)
     return n * balancing(n)
 
 
@@ -369,8 +373,7 @@ def rhs_pair_plain(n: int) -> int:
     costs one big-int product and is made once per process.  It reads B alone,
     never the S_2 list of the pair oracles, so the two routes stay independent.
     """
-    if n < 2:
-        raise ValueError(f"rhs_pair_plain: n must be >= 2, got {n}")
+    _PLAIN.check("rhs_pair_plain", 2, n)
 
     def make():
         B = terms(BALANCING, "u", n)
@@ -385,10 +388,7 @@ def rhs_general_plain(r: int, n: int) -> int:
         sum_{m=0}^{floor((n-r+1)/2)} C(n-m-1, r-2) C(m+r-2, r-2)
                                      * (n-2m-r+1)/(r-1) * B_{n-2m-r+1}
     """
-    if r < 2:
-        raise ValueError(f"rhs_general_plain: r must be >= 2, got {r}")
-    if n < r:
-        raise ValueError(f"rhs_general_plain: n must be >= r = {r}, got {n}")
+    _PLAIN.check("rhs_general_plain", r, n)
     B = terms(BALANCING, "u", n)
     total = sum(
         binom(n - m - 1, r - 2)
@@ -442,10 +442,7 @@ def rhs_multinom_u(params: SeqParams, r: int, n: int) -> int:
     the pair x^2 - ar x + a^2 j(r-j) - (r-2j)^2 b, not summed term by term.
     The division is asserted exact; r = 1 degenerates to u_n itself.
     """
-    if r < 1:
-        raise ValueError(f"rhs_multinom_u: r must be >= 1, got {r}")
-    if n < 0:
-        raise ValueError(f"rhs_multinom_u: n must be nonnegative, got {n}")
+    _BINOMIAL.check("rhs_multinom_u", r, n)
     total = _multinom_sum(params, "u" if r % 2 else "v", -1, r, n)
     return exact_div(total, params.discriminant ** (r // 2))
 
@@ -453,39 +450,32 @@ def rhs_multinom_u(params: SeqParams, r: int, n: int) -> int:
 def rhs_multinom_v(params: SeqParams, r: int, n: int) -> int:
     """Closed form for :func:`binom_conv_v`: the u-version without signs or
     discriminant prefactor, always weighted by v-terms."""
-    if r < 1:
-        raise ValueError(f"rhs_multinom_v: r must be >= 1, got {r}")
-    if n < 0:
-        raise ValueError(f"rhs_multinom_v: n must be nonnegative, got {n}")
+    _BINOMIAL.check("rhs_multinom_v", r, n)
     return _multinom_sum(params, "v", 1, r, n)
 
 
 def rhs_binom_pair_b(n: int) -> int:
     """(2^n C_n - 6^n) / 16."""
-    if n < 0:
-        raise ValueError(f"rhs_binom_pair_b: n must be nonnegative, got {n}")
+    _BINOMIAL.check("rhs_binom_pair_b", 2, n)
     return exact_div(2**n * lucas_balancing(n) - 6**n, 16)
 
 
 def rhs_binom_pair_c(n: int) -> int:
     """(2^n C_n + 6^n) / 2."""
-    if n < 0:
-        raise ValueError(f"rhs_binom_pair_c: n must be nonnegative, got {n}")
+    _BINOMIAL.check("rhs_binom_pair_c", 2, n)
     return exact_div(2**n * lucas_balancing(n) + 6**n, 2)
 
 
 def rhs_multinom_triple_b(n: int) -> int:
     """(3^n B_n - 3 sum_k C(n,k) 6^{n-k} B_k) / 32."""
-    if n < 0:
-        raise ValueError(f"rhs_multinom_triple_b: n must be nonnegative, got {n}")
+    _BINOMIAL.check("rhs_multinom_triple_b", 3, n)
     mixed = _binomial_lucas(BALANCING, "u", 6, 1, n)
     return exact_div(3**n * balancing(n) - 3 * mixed, 32)
 
 
 def rhs_multinom_triple_c(n: int) -> int:
     """(3^n C_n + 3 sum_k C(n,k) 6^{n-k} C_k) / 4."""
-    if n < 0:
-        raise ValueError(f"rhs_multinom_triple_c: n must be nonnegative, got {n}")
+    _BINOMIAL.check("rhs_multinom_triple_c", 3, n)
     # sum_k C(n,k) 6^{n-k} C_k is the v-weighted sum halved, since C_k = v_k / 2
     mixed = exact_div(_binomial_lucas(BALANCING, "v", 6, 1, n), 2)
     return exact_div(3**n * lucas_balancing(n) + 3 * mixed, 4)
@@ -493,15 +483,13 @@ def rhs_multinom_triple_c(n: int) -> int:
 
 def rhs_fib_pair_f(n: int) -> int:
     """(2^n L_n - 2) / 5."""
-    if n < 0:
-        raise ValueError(f"rhs_fib_pair_f: n must be nonnegative, got {n}")
+    _BINOMIAL.check("rhs_fib_pair_f", 2, n)
     return exact_div(2**n * lucas(n) - 2, 5)
 
 
 def rhs_fib_pair_l(n: int) -> int:
     """2^n L_n + 2."""
-    if n < 0:
-        raise ValueError(f"rhs_fib_pair_l: n must be nonnegative, got {n}")
+    _BINOMIAL.check("rhs_fib_pair_l", 2, n)
     return 2**n * lucas(n) + 2
 
 
@@ -523,32 +511,14 @@ def _of_r_n(fn: Callable[[int, int], int]) -> Side:
     return wraps(fn)(lambda params, r, n: fn(r, n))
 
 
-# Domain rules: the smallest n a family's closed form admits, given r.
-
-
-def _alternating_n_min(r: int) -> int:
-    return 3 * r - 5
-
-
-def _plain_n_min(r: int) -> int:
-    return r
-
-
-def _telescope_n_min(r: int) -> int:
-    return 1
-
-
-def _binomial_n_min(r: int) -> int:
-    return 0
-
-
 @dataclass(frozen=True)
 class IdentityInfo:
     """Catalog entry: fixed arguments, validity domain, and both evaluators.
 
     ``params``/``r`` are None when the caller chooses them; a chosen r must
-    be at least ``min_r``.  ``n_min`` maps the resolved r to the smallest
-    valid n.  ``lhs`` is the brute-force oracle and ``rhs`` the closed form,
+    be at least ``domain.min_r``, and ``domain.n_min`` maps the resolved r to
+    the smallest valid n: the same :class:`Domain` record that the row's closed
+    form checks.  ``lhs`` is the brute-force oracle and ``rhs`` the closed form,
     both called as f(params, r, n) and bound to the function objects
     themselves.  The package's one dataclass: every other record is a tuple,
     but perfbench/tracer.py rebuilds CATALOG with ``dataclasses.replace``,
@@ -557,10 +527,9 @@ class IdentityInfo:
 
     params: SeqParams | None
     r: int | None
-    n_min: Callable[[int], int]
+    domain: Domain
     lhs: Side
     rhs: Side
-    min_r: int = 1
 
 
 _ALTERNATING_LHS = _of_r_n(alt_weighted_conv)
@@ -568,55 +537,55 @@ _PRINTED_RHS = _of_r_n(rhs_printed_corollary)
 _BINOM_C_LHS = _of_r_n(binom_conv_c)
 
 #: Each identity under its CLI name, in the order ``--identity`` lists them.
-#: Rows are IdentityInfo(params, r, n_min, lhs, rhs[, min_r]).
+#: Rows are IdentityInfo(params, r, domain, lhs, rhs).
 CATALOG: dict[str, IdentityInfo] = {
     "pair-telescope": IdentityInfo(
-        BALANCING, 2, _telescope_n_min, _of_n(pair_telescope_sum), _of_n(rhs_pair_telescope)
+        BALANCING, 2, _TELESCOPE, _of_n(pair_telescope_sum), _of_n(rhs_pair_telescope)
     ),
     "triple-alt": IdentityInfo(
-        BALANCING, 3, _alternating_n_min, _ALTERNATING_LHS, _of_n(rhs_triple_alt)
+        BALANCING, 3, _ALTERNATING, _ALTERNATING_LHS, _of_n(rhs_triple_alt)
     ),
     "general-alt": IdentityInfo(
-        BALANCING, None, _alternating_n_min, _ALTERNATING_LHS, _of_r_n(rhs_general_alt), min_r=2
+        BALANCING, None, _ALTERNATING, _ALTERNATING_LHS, _of_r_n(rhs_general_alt)
     ),
     "cor-printed-r4": IdentityInfo(
-        BALANCING, 4, _alternating_n_min, _ALTERNATING_LHS, _PRINTED_RHS
+        BALANCING, 4, _ALTERNATING, _ALTERNATING_LHS, _PRINTED_RHS
     ),
     "cor-printed-r5": IdentityInfo(
-        BALANCING, 5, _alternating_n_min, _ALTERNATING_LHS, _PRINTED_RHS
+        BALANCING, 5, _ALTERNATING, _ALTERNATING_LHS, _PRINTED_RHS
     ),
     "cor-printed-r6": IdentityInfo(
-        BALANCING, 6, _alternating_n_min, _ALTERNATING_LHS, _PRINTED_RHS
+        BALANCING, 6, _ALTERNATING, _ALTERNATING_LHS, _PRINTED_RHS
     ),
     "pair-plain": IdentityInfo(
-        BALANCING, 2, _plain_n_min, _of_n(pair_plain_sum), _of_n(rhs_pair_plain)
+        BALANCING, 2, _PLAIN, _of_n(pair_plain_sum), _of_n(rhs_pair_plain)
     ),
     "general-plain": IdentityInfo(
-        BALANCING, None, _plain_n_min, conv_power, _of_r_n(rhs_general_plain), min_r=2
+        BALANCING, None, _PLAIN, conv_power, _of_r_n(rhs_general_plain)
     ),
     "binom-pair-b": IdentityInfo(
-        BALANCING, 2, _binomial_n_min, binom_conv_u, _of_n(rhs_binom_pair_b)
+        BALANCING, 2, _BINOMIAL, binom_conv_u, _of_n(rhs_binom_pair_b)
     ),
     "binom-pair-c": IdentityInfo(
-        BALANCING, 2, _binomial_n_min, _BINOM_C_LHS, _of_n(rhs_binom_pair_c)
+        BALANCING, 2, _BINOMIAL, _BINOM_C_LHS, _of_n(rhs_binom_pair_c)
     ),
     "multinom-triple-b": IdentityInfo(
-        BALANCING, 3, _binomial_n_min, binom_conv_u, _of_n(rhs_multinom_triple_b)
+        BALANCING, 3, _BINOMIAL, binom_conv_u, _of_n(rhs_multinom_triple_b)
     ),
     "multinom-triple-c": IdentityInfo(
-        BALANCING, 3, _binomial_n_min, _BINOM_C_LHS, _of_n(rhs_multinom_triple_c)
+        BALANCING, 3, _BINOMIAL, _BINOM_C_LHS, _of_n(rhs_multinom_triple_c)
     ),
     "general-u": IdentityInfo(
-        None, None, _binomial_n_min, binom_conv_u, rhs_multinom_u
+        None, None, _BINOMIAL, binom_conv_u, rhs_multinom_u
     ),
     "general-v": IdentityInfo(
-        None, None, _binomial_n_min, binom_conv_v, rhs_multinom_v
+        None, None, _BINOMIAL, binom_conv_v, rhs_multinom_v
     ),
     "fib-pair-f": IdentityInfo(
-        FIBONACCI, 2, _binomial_n_min, binom_conv_u, _of_n(rhs_fib_pair_f)
+        FIBONACCI, 2, _BINOMIAL, binom_conv_u, _of_n(rhs_fib_pair_f)
     ),
     "fib-pair-l": IdentityInfo(
-        FIBONACCI, 2, _binomial_n_min, binom_conv_v, _of_n(rhs_fib_pair_l)
+        FIBONACCI, 2, _BINOMIAL, binom_conv_v, _of_n(rhs_fib_pair_l)
     ),
 }
 
@@ -652,8 +621,8 @@ def resolve_identity_args(
     else:
         if r is None:
             raise ValueError(f"{identity} requires r")
-        if r < info.min_r:
-            raise ValueError(f"{identity} requires r >= {info.min_r}, got {r}")
+        if r < info.domain.min_r:
+            raise ValueError(f"{identity} requires r >= {info.domain.min_r}, got {r}")
     return params, r
 
 
@@ -701,7 +670,7 @@ def clamp_to_domain(identity: str, r: int, lo: int | None, hi: int) -> tuple[int
     ``lo`` None starts at the domain minimum.  An empty range, or one that
     lies wholly below the domain, is an error.
     """
-    n_min = _info(identity).n_min(r)
+    n_min = _info(identity).domain.n_min(r)
     if lo is not None and lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
     if hi < n_min:

@@ -356,13 +356,13 @@ def test_out_of_domain_n_exits_2():
     [
         pytest.param(identity, r, id=f"{identity} r={r}")
         for identity, info in CATALOG.items()
-        for r in ((info.r,) if info.r is not None else range(info.min_r, info.min_r + 3))
+        for r in ((info.r,) if info.r is not None else range(info.domain.min_r, info.domain.min_r + 3))
     ],
 )
 def test_closed_honours_each_identity_domain(identity, r):
     info = CATALOG[identity]
     params, r = resolve_identity_args(identity, None, r)
-    n_min = info.n_min(r)
+    n_min = info.domain.n_min(r)
     argv = ["closed", "--identity", identity, "--r", str(r), "--n"]
     assert invoke([*argv, str(n_min)]) == (0, f"{info.rhs(params, r, n_min)}\n", "")
     if n_min >= 1:

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 import sys
 import threading
@@ -878,7 +879,7 @@ def test_each_route_reaches_only_its_own_tables(monkeypatch):
         for side in (info.lhs, info.rhs):
             clear_caches()
             reached.clear()
-            for n in range(info.n_min(r), 31):
+            for n in range(info.domain.n_min(r), 31):
                 side(params, r, n)
             sides.append({_key_kind(key, params) for key in reached})
         kinds[row] = tuple(sides)
@@ -1166,11 +1167,98 @@ def test_verify_usage_errors():
         verify_identity("triple-alt", (4, 10), r=5)  # fixed r mismatch
 
 
+#: Each public oracle and closed form with its domain: (name, r, least n at r, least r),
+#: r and least r None where the side takes no r.  The sides of (params, r, n) run at (6, -1).
+_SIDE_DOMAINS = [
+    ("conv_power", 1, 0, 1),
+    ("conv_power", 4, 0, 1),
+    ("conv_power_by_enumeration", 1, 0, 1),
+    ("alt_weighted_conv", 2, 0, 2),
+    ("alt_weighted_conv", 5, 0, 2),
+    ("pair_plain_sum", None, 0, None),
+    ("pair_telescope_sum", None, 0, None),
+    ("binom_conv_u", 1, 0, 1),
+    ("binom_conv_v", 1, 0, 1),
+    ("binom_conv_c", 1, 0, 1),
+    ("rhs_general_alt", 2, 1, 2),
+    ("rhs_general_alt", 4, 7, 2),
+    ("rhs_triple_alt", None, 4, None),
+    ("rhs_printed_corollary", 4, 7, 4),
+    ("rhs_printed_corollary", 6, 13, 4),
+    ("rhs_pair_telescope", None, 1, None),
+    ("rhs_pair_plain", None, 2, None),
+    ("rhs_general_plain", 2, 2, 2),
+    ("rhs_general_plain", 5, 5, 2),
+    ("rhs_multinom_u", 1, 0, 1),
+    ("rhs_multinom_u", 4, 0, 1),
+    ("rhs_multinom_v", 1, 0, 1),
+    ("rhs_binom_pair_b", None, 0, None),
+    ("rhs_binom_pair_c", None, 0, None),
+    ("rhs_multinom_triple_b", None, 0, None),
+    ("rhs_multinom_triple_c", None, 0, None),
+    ("rhs_fib_pair_f", None, 0, None),
+    ("rhs_fib_pair_l", None, 0, None),
+]
+
+
+def _call_side(name, r, n):
+    side = getattr(identities, name)
+    args = {"params": BALANCING, "r": r, "n": n}
+    return side(*(args[arg] for arg in inspect.signature(side).parameters))
+
+
+@pytest.mark.parametrize(
+    "name, r, n_min, min_r", _SIDE_DOMAINS, ids=[f"{row[0]} r={row[1]}" for row in _SIDE_DOMAINS]
+)
+def test_every_side_rejects_the_first_argument_outside_its_domain(name, r, n_min, min_r):
+    # the message must be the side's own: a side that lost its check may still fail deeper
+    # down (v(-1), itertools at r = 0) or return a value read from the wrong end of a list
+    assert type(_call_side(name, r, n_min)) is int
+    with pytest.raises(ValueError, match=rf"^{name}: .*\bgot {n_min - 1}$"):
+        _call_side(name, r, n_min - 1)
+    if min_r is not None:
+        with pytest.raises(ValueError, match=rf"^{name}: .*\bgot {min_r - 1}$"):
+            _call_side(name, min_r - 1, n_min)
+
+
+#: The README catalog table's domains, written out: identity -> {r: least n at r}, the
+#: smallest r listed being the least r the row admits.
+_DOCUMENTED_DOMAINS = {
+    "pair-telescope": {2: 1},
+    "triple-alt": {3: 4},
+    "general-alt": {2: 1, 3: 4, 4: 7, 7: 16},
+    "cor-printed-r4": {4: 7},
+    "cor-printed-r5": {5: 10},
+    "cor-printed-r6": {6: 13},
+    "pair-plain": {2: 2},
+    "general-plain": {2: 2, 3: 3, 6: 6},
+    "binom-pair-b": {2: 0},
+    "binom-pair-c": {2: 0},
+    "multinom-triple-b": {3: 0},
+    "multinom-triple-c": {3: 0},
+    "general-u": {1: 0, 2: 0, 5: 0},
+    "general-v": {1: 0, 2: 0, 5: 0},
+    "fib-pair-f": {2: 0},
+    "fib-pair-l": {2: 0},
+}
+
+
+@pytest.mark.parametrize("identity", _DOCUMENTED_DOMAINS)
+def test_each_identity_keeps_its_documented_domain(identity):
+    # literal values, not CATALOG's: a row moved to another rule together with its closed
+    # form (pair-plain to n >= 1, where T(1) = S_2(1) = 0) still passes every sweep
+    domain = _DOCUMENTED_DOMAINS[identity]
+    for r, n_min in domain.items():
+        assert verify_identity(identity, (None, n_min + 2), r=r).n_range == (n_min, n_min + 2)
+    with pytest.raises(ValueError, match=rf"^{identity} (requires|has fixed) r"):
+        resolve_identity_args(identity, None, min(domain) - 1)
+
+
 def test_resolve_identity_args_defaults():
     assert resolve_identity_args("general-u", None, 3) == (BALANCING, 3)
     assert resolve_identity_args("fib-pair-f") == (FIBONACCI, 2)
     info = CATALOG["general-alt"]
-    assert info.n_min(4) == 7 and info.n_min(2) == 1
+    assert info.domain.n_min(4) == 7 and info.domain.n_min(2) == 1
 
 
 def test_report_round_trip():

@@ -239,5 +239,6 @@ def test_grow_applies_one_rule_to_every_record(seed, weights, forcing):
     try:
         assert sequences.grow(key, 2, lambda: (seed, weights, forcing))[:3] == want[:3]
         assert sequences.grow(key, 40, lambda: (seed, weights, forcing)) == want
+        assert len(sequences.grow(key, 6000, lambda: (seed, weights, forcing))) == 6001
     finally:
         del sequences._tables[key]
