@@ -136,6 +136,8 @@ def conv_power(params: SeqParams, r: int, n: int) -> int:
     (g = 0 below index 0), so each coefficient costs O(r).  The list is the store's ("f^r",
     params, r) table, made once per process; its record (:func:`sequences.grow`) is the seed
     g_0..g_r = 0, ..., 0, 1 and P^r as the weights -p_1, ..., -p_{2r}, fetched while it grows.
+    The n < r exit stays although the seed holds those zeros: it reads no P^r and grows no
+    table, where r = 10^6 at n = 5 would otherwise multiply out P^(10^6) to read one zero.
     """
     _BINOMIAL.check("conv_power", r, n)
     if n < r:
@@ -154,8 +156,6 @@ def conv_power_by_enumeration(params: SeqParams, r: int, n: int) -> int:
     small sizes only.
     """
     _BINOMIAL.check("conv_power_by_enumeration", r, n)
-    if n < r:
-        return 0
     total = 0
     for cuts in combinations(range(1, n), r - 1):
         bounds = (0, *cuts, n)
@@ -685,7 +685,7 @@ def clamp_to_domain(identity: str, r: int, lo: int | None, hi: int) -> tuple[int
 def evaluate_range(
     identity: str, params: SeqParams, r: int, lo: int, hi: int
 ) -> Iterator[tuple[int, int | NotInteger, int | NotInteger]]:
-    """Yield (n, oracle value, closed-form value) for n = lo..hi, in that order.
+    """Yield (n, oracle value, closed-form value) for n = lo..hi, in that order; none if lo > hi.
 
     A side whose exact division leaves a remainder at n yields :class:`NotInteger`
     there, and the sweep goes on.  The row at hi is computed first, so each table

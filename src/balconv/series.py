@@ -11,7 +11,7 @@ derivatives of f = x / P, which times P^r are polynomials too (see
 from __future__ import annotations
 
 from itertools import zip_longest
-from math import factorial, perm
+from math import factorial
 from typing import Iterable
 
 from .combinatorics import binom
@@ -90,11 +90,9 @@ class Series:
             raise ValueError(f"shift: s must be nonnegative, got {s}")
         return Series((0,) * s + self._coeffs)
 
-    def derivative(self, k: int = 1) -> Series:
-        """k-th derivative; past the order it is the zero polynomial ``Series([0])``."""
-        if k < 0:
-            raise ValueError(f"derivative: k must be nonnegative, got {k}")
-        return Series([c * perm(n + k, k) for n, c in enumerate(self._coeffs[k:])] or [0])
+    def derivative(self) -> Series:
+        """First derivative; of a constant it is the zero polynomial ``Series([0])``."""
+        return Series([n * c for n, c in enumerate(self._coeffs[1:], 1)] or [0])
 
     def pow(self, r: int) -> Series:
         """r-th power (r >= 0), made by r products; order r * order(f)."""

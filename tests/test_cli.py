@@ -382,11 +382,24 @@ def test_table_clamps_below_domain_like_verify():
     assert code == 0 and json.loads(out)["range"] == ["7", "8"]
 
 
-@pytest.mark.parametrize("command", ["verify", "table"])
-def test_range_below_domain_names_the_domain(command):
-    code, out, err = invoke([command, "--identity", "general-plain", "--r", "2", "--n-max", "1"])
-    assert (code, out) == (2, "")
-    assert err == "error: n <= 1 lies below the domain of general-plain: n >= 2\n"
+_PLAIN_BELOW = ["--identity", "general-plain", "--r", "2", "--n-max", "1"]
+_PLAIN_BELOW_ERR = "error: n <= 1 lies below the domain of general-plain: n >= 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        pytest.param(["verify", *_PLAIN_BELOW], _PLAIN_BELOW_ERR, id="verify"),
+        pytest.param(["table", *_PLAIN_BELOW], _PLAIN_BELOW_ERR, id="table"),
+        pytest.param(
+            ["verify", "--identity", "triple-alt", "--n-min", "0", "--n-max", "3"],
+            "error: range [0, 3] lies below the domain of triple-alt: n >= 4\n",
+            id="verify-range",
+        ),
+    ],
+)
+def test_range_below_domain_names_the_domain(argv, err):
+    assert invoke(argv) == (2, "", err)
 
 
 def test_malformed_range_exits_2():
@@ -404,6 +417,20 @@ def test_plain_conv_on_v_kind_exits_2():
 def test_params_on_named_kind_exits_2():
     code, _, _ = invoke(["seq", "--kind", "balancing", "--a", "2", "--b", "1", "--to", "3"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["verify", "--identity", "general-u", "--r", "3", "--a", "2", "--n-max", "5"],
+         "error: --a and --b must be given together\n"),
+        (["seq", "--kind", "u", "--a", "2", "--to", "3"], "error: --kind u/v requires both --a and --b\n"),
+    ],
+    ids=["verify", "seq"],
+)
+def test_half_given_params_exit_2_with_one_line(argv, err):
+    # unchecked, SeqParams(2, None) raises a TypeError: a traceback and exit 1, not a usage error
+    assert invoke(argv) == (2, "", err)
 
 
 def test_fixed_params_identity_rejects_override():

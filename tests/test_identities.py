@@ -33,6 +33,8 @@ from balconv.identities import (
     clear_caches,
     conv_power,
     conv_power_by_enumeration,
+    evaluate_range,
+    is_mismatch,
     pair_plain_sum,
     pair_telescope_sum,
     report_from_dict,
@@ -85,21 +87,18 @@ def test_conv_power_small_values():
 
 
 def test_conv_power_zero_below_r():
-    for r in range(1, 5):
+    # read before the seed: no P^r and no table, or r = 10^6 at n = 5 would build P^(10^6)
+    clear_caches()
+    for r in (1, 2, 3, 4, 40):
         for n in range(r):
             assert conv_power(BALANCING, r, n) == 0
+    assert not sequences._tables
+    assert identities._ogf_power.cache_info().currsize == 0
 
 
 def test_conv_power_r1_is_sequence():
     for n in range(10):
         assert conv_power(BALANCING, 1, n) == balancing(n)
-
-
-def test_conv_power_rejects_bad_args():
-    with pytest.raises(ValueError):
-        conv_power(BALANCING, 0, 3)
-    with pytest.raises(ValueError):
-        conv_power(BALANCING, 2, -1)
 
 
 def test_conv_power_matches_enumeration():
@@ -119,13 +118,6 @@ def test_alt_weighted_conv_examples():
     assert alt_weighted_conv(2, 4) == 105  # S_2(4) - S_2(2)
     assert alt_weighted_conv(3, 4) == 18
     assert alt_weighted_conv(3, 3) == 1
-
-
-def test_alt_weighted_conv_rejects_bad_args():
-    with pytest.raises(ValueError):
-        alt_weighted_conv(1, 5)
-    with pytest.raises(ValueError):
-        alt_weighted_conv(3, -1)
 
 
 def test_pair_telescope_sum():
@@ -199,19 +191,6 @@ def test_rhs_general_alt_r3_matches_triple_form():
         assert rhs_general_alt(3, n) == rhs_triple_alt(n)
 
 
-def test_rhs_general_alt_domain():
-    with pytest.raises(ValueError):
-        rhs_general_alt(1, 10)
-    with pytest.raises(ValueError):
-        rhs_general_alt(4, 6)  # needs n >= 7
-    assert rhs_general_alt(4, 7) == alt_weighted_conv(4, 7)
-
-
-def test_rhs_triple_alt_domain():
-    with pytest.raises(ValueError):
-        rhs_triple_alt(3)
-
-
 def test_printed_corollary_r4_r6_match_general():
     for n in range(7, 60):
         assert rhs_printed_corollary(4, n) == rhs_general_alt(4, n)
@@ -237,17 +216,6 @@ def test_printed_corollary_r5_repaired_agrees():
         coeff = Fraction((n - 5) * (n - 8) * (n - 10) * (n - 11), 8)
         repaired = rhs_printed_corollary(5, n) + coeff * (balancing(n - 8) - balancing(n - 6))
         assert repaired == rhs_general_alt(5, n)
-
-
-def test_printed_corollary_domains():
-    with pytest.raises(ValueError):
-        rhs_printed_corollary(3, 20)
-    with pytest.raises(ValueError):
-        rhs_printed_corollary(4, 6)
-    with pytest.raises(ValueError):
-        rhs_printed_corollary(5, 9)
-    with pytest.raises(ValueError):
-        rhs_printed_corollary(6, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +278,6 @@ def test_rhs_pair_plain_never_reads_the_oracle_routes(monkeypatch):
     got = {n: rhs_pair_plain(n) for n in (90, 2, 3, 41, 200)}
     assert set(sequences._tables) == {"T", (BALANCING, "u")}
     assert got == {n: pair_plain_by_terms(n) for n in got}
-
-
-def test_rhs_general_plain_domain():
-    with pytest.raises(ValueError):
-        rhs_general_plain(1, 5)
-    with pytest.raises(ValueError):
-        rhs_general_plain(3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -704,15 +665,6 @@ def test_binom_fold_keeps_one_list_per_key(monkeypatch):
     }
     assert [len(sequences._tables[key]) for key in sorted(_fold_keys(), key=str)] == [4, 1, 1]
     assert identities._binom_fold.cache_info().currsize == 0
-
-
-def test_binom_conv_rejects_bad_args():
-    with pytest.raises(ValueError):
-        binom_conv_u(BALANCING, 0, 3)
-    with pytest.raises(ValueError):
-        binom_conv_v(BALANCING, 2, -1)
-    with pytest.raises(ValueError):
-        binom_conv_c(0, 1)
 
 
 #: The sweep-binomial benchmark's strata with both signs of a, then (6, -1) and (1, 2).
@@ -1152,6 +1104,16 @@ def test_verify_general_u_v_random_params(identity, a, b, r):
     assert report.passed and report.checked == 16
 
 
+def test_an_empty_range_yields_no_row():
+    assert list(evaluate_range("pair-plain", BALANCING, 2, 6, 5)) == []
+
+
+def test_a_mismatch_is_unequal_sides_or_a_side_that_is_no_integer():
+    inexact = NotInteger(2, 1)
+    cases = [(1, 1), (1, 2), (inexact, inexact), (inexact, 3), (3, inexact)]
+    assert [is_mismatch(lhs, rhs) for lhs, rhs in cases] == [False, True, True, True, True]
+
+
 def test_verify_usage_errors():
     with pytest.raises(ValueError):
         verify_identity("pair-telescope", (1, 10), params=FIBONACCI)
@@ -1171,23 +1133,28 @@ def test_verify_usage_errors():
 #: r and least r None where the side takes no r.  The sides of (params, r, n) run at (6, -1).
 _SIDE_DOMAINS = [
     ("conv_power", 1, 0, 1),
+    ("conv_power", 2, 0, 1),
     ("conv_power", 4, 0, 1),
     ("conv_power_by_enumeration", 1, 0, 1),
     ("alt_weighted_conv", 2, 0, 2),
+    ("alt_weighted_conv", 3, 0, 2),
     ("alt_weighted_conv", 5, 0, 2),
     ("pair_plain_sum", None, 0, None),
     ("pair_telescope_sum", None, 0, None),
     ("binom_conv_u", 1, 0, 1),
     ("binom_conv_v", 1, 0, 1),
+    ("binom_conv_v", 2, 0, 1),
     ("binom_conv_c", 1, 0, 1),
     ("rhs_general_alt", 2, 1, 2),
     ("rhs_general_alt", 4, 7, 2),
     ("rhs_triple_alt", None, 4, None),
     ("rhs_printed_corollary", 4, 7, 4),
+    ("rhs_printed_corollary", 5, 10, 4),
     ("rhs_printed_corollary", 6, 13, 4),
     ("rhs_pair_telescope", None, 1, None),
     ("rhs_pair_plain", None, 2, None),
     ("rhs_general_plain", 2, 2, 2),
+    ("rhs_general_plain", 3, 3, 2),
     ("rhs_general_plain", 5, 5, 2),
     ("rhs_multinom_u", 1, 0, 1),
     ("rhs_multinom_u", 4, 0, 1),
