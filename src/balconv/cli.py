@@ -13,9 +13,10 @@ or ``conv`` (which compare nothing), an unwritable ``--output``, or a run out
 of memory.  No table recurses, so a large r or n never overflows the stack.
 But a table holds every value up to n, so a large n can exhaust memory
 (``conv --r 3 --n 100000`` needs more than 1.5 GB); the ``MemoryError`` then
-exits 2.  All integers in machine output
-are decimal strings; they outgrow 64-bit types quickly, so CPython's int/str
-digit limit is lifted while :func:`run` executes.
+exits 2.  Every integer in JSON output is a decimal string, written by the one
+encoder :func:`~balconv.identities.to_json` that every payload passes through; the
+values outgrow 64-bit types quickly, so CPython's int/str digit limit is lifted
+while :func:`run` executes.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .identities import (
     is_mismatch,
     report_to_dict,
     resolve_identity_args,
-    value_to_json,
+    to_json,
     verify_identity,
 )
 from .sequences import (
@@ -83,7 +84,7 @@ def _write(
     """Render only the format asked for and write it to --output or stdout.
 
     ``csv_rows`` is the CSV header, if any, then the data rows; ``plain``
-    builds the plain text and ``payload`` the JSON object.
+    builds the plain text and ``payload`` the object that :func:`to_json` encodes.
     """
     if args.format == "csv":
         text = _lines(",", csv_rows)
@@ -91,7 +92,7 @@ def _write(
         text = plain()
     else:
         import json  # here only: plain and csv runs never load it
-        text = json.dumps(payload(), indent=2) + "\n"
+        text = json.dumps(to_json(payload()), indent=2) + "\n"
     if args.output is None:
         sys.stdout.write(text)
     else:
@@ -108,10 +109,6 @@ def _kind_spec(args: argparse.Namespace) -> tuple[SeqParams, str, int]:
     if args.a is not None or args.b is not None:
         raise ValueError("--a/--b apply only to --kind u or v")
     return _NAMED_KINDS[args.kind]
-
-
-def _params_dict(params: SeqParams) -> dict:
-    return {"a": str(params.a), "b": str(params.b)}
 
 
 def _identity_args(args: argparse.Namespace) -> tuple[SeqParams, int]:
@@ -137,11 +134,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
         args,
         [values],
         lambda: _lines(" ", enumerate(values)),
-        lambda: {
-            "kind": args.kind,
-            "params": _params_dict(params),
-            "values": [str(x) for x in values],
-        },
+        lambda: {"kind": args.kind, "params": params, "values": values},
     )
     return 0
 
@@ -165,11 +158,11 @@ def _cmd_conv(args: argparse.Namespace) -> int:
         lambda: f"{value}\n",
         lambda: {
             "kind": args.kind,
-            "params": _params_dict(params),
-            "r": str(args.r),
-            "n": str(args.n),
+            "params": params,
+            "r": args.r,
+            "n": args.n,
             "binomial": args.binomial,
-            "value": str(value),
+            "value": value,
         },
     )
     return 0
@@ -183,13 +176,7 @@ def _cmd_closed(args: argparse.Namespace) -> int:
         args,
         [("identity", "r", "n", "value"), (args.identity, r, args.n, value)],
         lambda: f"{value}\n",
-        lambda: {
-            "identity": args.identity,
-            "params": _params_dict(params),
-            "r": str(r),
-            "n": str(args.n),
-            "value": str(value),
-        },
+        lambda: {"identity": args.identity, "params": params, "r": r, "n": args.n, "value": value},
     )
     return 0
 
@@ -224,12 +211,7 @@ def _cmd_series_check(args: argparse.Namespace) -> int:
         args,
         [("check", "r", "order", "passed"), (name, r_text, args.order, str(passed).lower())],
         lambda: f"{label} order={args.order}: {'pass' if passed else 'FAIL'}\n",
-        lambda: {
-            "check": name,
-            "r": r_text or None,
-            "order": str(args.order),
-            "passed": passed,
-        },
+        lambda: {"check": name, "r": args.r, "order": args.order, "passed": passed},
     )
     return 0 if passed else 1
 
@@ -245,9 +227,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
         lambda: _lines("\t", [header, *rows]),
         lambda: {
             "identity": args.identity,
-            "params": _params_dict(params),
-            "r": str(r),
-            "rows": [{"n": str(n), "lhs": value_to_json(lhs), "rhs": value_to_json(rhs)} for n, lhs, rhs in rows],
+            "params": params,
+            "r": r,
+            "rows": [dict(zip(header, row)) for row in rows],
         },
     )
     return 1 if any(is_mismatch(lhs, rhs) for _, lhs, rhs in rows) else 0

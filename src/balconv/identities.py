@@ -82,7 +82,7 @@ __all__ = [
     "rhs_pair_telescope",
     "rhs_printed_corollary",
     "rhs_triple_alt",
-    "value_to_json",
+    "to_json",
     "verify_identity",
 ]
 
@@ -173,11 +173,8 @@ def alt_weighted_conv(r: int, n: int) -> int:
     """
     _ALT_WEIGHTED.check("alt_weighted_conv", r, n)
     total = 0
-    for l in range(2 * r - 2):
-        m = n - 2 * l
-        if m < 0:
-            continue
-        total += (-1) ** l * binom(2 * r - 3, l) * conv_power(BALANCING, r, m)
+    for l in range(min(2 * r - 2, n // 2 + 1)):
+        total += (-1) ** l * binom(2 * r - 3, l) * conv_power(BALANCING, r, n - 2 * l)
     return total
 
 
@@ -729,12 +726,20 @@ def verify_identity(
     return VerificationReport(identity, params, r, (lo, hi), hi - lo + 1, failures)
 
 
-def value_to_json(value: int | NotInteger) -> str | dict:
-    """A side's JSON form: the decimal string of an integer, or, for :class:`NotInteger`,
-    ``{"divisor": ..., "remainder": ...}`` with both as decimal strings."""
-    if isinstance(value, NotInteger):
-        return {"divisor": str(value.divisor), "remainder": str(value.remainder)}
-    return str(value)
+def to_json(value: object) -> object:
+    """The JSON form of every machine output: each int but a bool as its decimal string (values
+    outgrow 64 bits), each NamedTuple (:class:`SeqParams`, :class:`Failure`,
+    :class:`NotInteger`) as the dict of its fields, dicts, lists and tuples item by item; str,
+    bool and None stay as they are.  The caller lifts the int/str digit limit."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(item) for item in value]
+    return value
 
 
 def _value_from_json(data: str | dict) -> int | NotInteger:
@@ -743,17 +748,15 @@ def _value_from_json(data: str | dict) -> int | NotInteger:
 
 @unlimited_int_digits()
 def report_to_dict(report: VerificationReport) -> dict:
-    """Serialize with every integer as a decimal string (values outgrow 64 bits)."""
-    return {
+    """Serialize by :func:`to_json`, with ``n_range`` under the key ``range``."""
+    return to_json({
         "identity": report.identity,
-        "params": {"a": str(report.params.a), "b": str(report.params.b)},
-        "r": str(report.r),
-        "range": [str(report.n_range[0]), str(report.n_range[1])],
-        "checked": str(report.checked),
-        "failures": [
-            {"n": str(f.n), "lhs": value_to_json(f.lhs), "rhs": value_to_json(f.rhs)} for f in report.failures
-        ],
-    }
+        "params": report.params,
+        "r": report.r,
+        "range": report.n_range,
+        "checked": report.checked,
+        "failures": report.failures,
+    })
 
 
 @unlimited_int_digits()

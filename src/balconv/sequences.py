@@ -89,15 +89,11 @@ def grow(key: Hashable, n: int, make: Callable[[], tuple]) -> list[int]:
 
 def u(params: SeqParams, n: int) -> int:
     """n-th u-term: u_0 = 0, u_1 = 1, u_n = a*u_{n-1} + b*u_{n-2}."""
-    if n < 0:
-        raise ValueError(f"u: index must be nonnegative, got {n}")
     return terms(params, "u", n)[n]
 
 
 def v(params: SeqParams, n: int) -> int:
     """n-th v-term: v_0 = 2, v_1 = a, same recurrence as u."""
-    if n < 0:
-        raise ValueError(f"v: index must be nonnegative, got {n}")
     return terms(params, "v", n)[n]
 
 
@@ -107,7 +103,11 @@ def initial_terms(params: SeqParams, which: str) -> tuple[int, int]:
 
 
 def terms(params: SeqParams, which: str, n: int) -> list[int]:
-    """The store's ``which`` list to index n: record (:func:`initial_terms`, (a, b), None)."""
+    """The store's ``which`` list to index n: record (:func:`initial_terms`, (a, b), None).
+
+    A negative n is a ValueError: the list would otherwise answer ``[n]`` from its end."""
+    if n < 0:
+        raise ValueError(f"{which}: index must be nonnegative, got {n}")
     return grow((params, which), n, lambda: (initial_terms(params, which), params, None))
 
 

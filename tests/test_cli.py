@@ -98,13 +98,62 @@ def test_json_report_round_trip():
     assert report == verify_identity("cor-printed-r5", (10, 30))
 
 
-def test_json_integers_are_decimal_strings():
-    argv = ["verify", "--identity", "pair-telescope", "--n-min", "160", "--n-max", "170", "--format", "json"]
-    _, out, _ = invoke(argv)
-    data = json.loads(out)
-    assert isinstance(data["checked"], str)
-    # B_170 vastly exceeds 64-bit range; strings keep it lossless
-    assert data["failures"] == []
+def _json_leaves(data, path=()):
+    if isinstance(data, dict):
+        for key, item in data.items():
+            yield from _json_leaves(item, (*path, key))
+    elif isinstance(data, list):
+        for i, item in enumerate(data):
+            yield from _json_leaves(item, (*path, i))
+    else:
+        yield path, data
+
+
+@pytest.fixture
+def r6_not_an_integer_at_20(monkeypatch):
+    """cor-printed-r6's closed form, multiplied back by its lcm 60 and given a remainder of
+    39 at n = 20 before the exact division: a slip that leaves it no integer at one n.
+    Returns the catalog row as it was."""
+    info = CATALOG["cor-printed-r6"]
+
+    def slipped(params, r, n):
+        return exact_div(60 * info.rhs(params, r, n) + 39 * (n == 20), 60)
+
+    monkeypatch.setitem(CATALOG, "cor-printed-r6", dataclasses.replace(info, rhs=slipped))
+    return info
+
+
+def test_json_integers_are_decimal_strings(r6_not_an_integer_at_20):
+    # every leaf of every --format json output is a string but the two flags and an absent r
+    slip = ["--identity", "cor-printed-r6", "--n-min", "18", "--n-max", "22"]
+    leaves = {}
+    for argv in (
+        ["seq", "--kind", "lucas", "--to", "5"],
+        ["seq", "--kind", "v", "--a", "2", "--b", "-3", "--to", "3"],
+        ["conv", "--kind", "fibonacci", "--r", "3", "--n", "7", "--binomial"],
+        ["conv", "--r", "2", "--n", "9"],
+        ["closed", "--identity", "pair-telescope", "--n", "5700"],  # past 4300 digits
+        ["verify", "--identity", "cor-printed-r5", "--n-max", "14"],
+        ["verify", *slip],
+        ["table", "--identity", "general-u", "--a", "2", "--b", "3", "--r", "2", "--n-max", "4"],
+        ["table", *slip],
+        ["series-check", "--order", "20"],
+        ["series-check", "--order", "20", "--r", "3"],
+    ):
+        code, out, err = invoke([*argv, "--format", "json"])
+        assert code in (0, 1) and err == ""
+        for path, leaf in _json_leaves(json.loads(out)):
+            leaves[(argv[0], *path)] = leaf
+            if path[-1] in ("binomial", "passed"):
+                assert isinstance(leaf, bool), (argv, path)
+            elif argv[0] == "series-check" and path == ("r",) and "--r" not in argv:
+                assert leaf is None
+            else:
+                assert isinstance(leaf, str), (argv, path, leaf)
+    assert len(leaves["closed", "value"]) > 4300
+    assert leaves["verify", "failures", 0, "rhs", "divisor"] == "60"
+    assert leaves["table", "rows", 2, "rhs", "remainder"] == "39"
+    assert leaves["series-check", "r"] == "3" and leaves["conv", "binomial"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +258,8 @@ def test_table_command():
     assert invoke(["table", "--identity", "cor-printed-r5", "--n-max", "11"])[0] == 0
 
 
-def test_a_closed_form_that_is_not_an_integer_is_a_mismatch(monkeypatch):
-    # cor-printed-r6's closed form, multiplied back by its lcm 60 and given a remainder of
-    # 39 at n = 20 before the exact division: a slip that leaves it no integer at one n
-    info = CATALOG["cor-printed-r6"]
-
-    def slipped(params, r, n):
-        return exact_div(60 * info.rhs(params, r, n) + 39 * (n == 20), 60)
-
-    monkeypatch.setitem(CATALOG, "cor-printed-r6", dataclasses.replace(info, rhs=slipped))
-    lhs = info.lhs(BALANCING, 6, 20)
+def test_a_closed_form_that_is_not_an_integer_is_a_mismatch(r6_not_an_integer_at_20):
+    lhs = r6_not_an_integer_at_20.lhs(BALANCING, 6, 20)
     text = "not an integer (division by 60 leaves a remainder of 39)"
     argv = ["--identity", "cor-printed-r6", "--n-min", "18", "--n-max", "22", "--format"]
     assert invoke(["verify", *argv, "plain"]) == (1, (

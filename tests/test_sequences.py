@@ -63,12 +63,16 @@ def test_fibonacci_values():
 
 
 def test_negative_index_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^u: index must be nonnegative, got -1$"):
         u(BALANCING, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^v: index must be nonnegative, got -2$"):
         v(BALANCING, -2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^v: index must be nonnegative, got -1$"):
         lucas_balancing(-1)
+    # a grown list would answer a negative index from its end: B_8 for -3 after balancing(10)
+    balancing(10)
+    with pytest.raises(ValueError, match=r"^u: index must be nonnegative, got -3$"):
+        terms(BALANCING, "u", -3)
 
 
 def test_zero_discriminant_rejected():
